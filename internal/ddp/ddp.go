@@ -8,14 +8,17 @@
 //     (or blocking baseline) schedule on their shard of mini-batches and
 //     synchronize per step on a modeled ring all-reduce over 10 GigE.
 //
-//   - An executing Trainer. R real model replicas run concurrently in
-//     goroutines, each feeding from its own prep executor stream over its
-//     deterministic shard of the epoch, synchronized per step by
-//     AverageGradients + identical per-replica optimizer steps, with
-//     straggler (barrier-wait) time accounted the way the simulator's cost
-//     model accounts exposed all-reduce. Union is its serial single-replica
-//     oracle: R-replica execution is bit-identical to the union batch
-//     schedule run on one replica.
+//   - An executing Trainer. R train.Trainer replicas run the one epoch
+//     loop (train.Trainer.RunEpoch) concurrently in goroutines, each
+//     feeding from its own prep executor stream over its deterministic
+//     shard of the epoch. The three drivers of that loop differ only in
+//     the update after each backward pass: a plain train.Trainer steps at
+//     once; Trainer's replicas wait at a step barrier for AverageGradients
+//     and then take identical optimizer steps, with straggler
+//     (barrier-wait) time accounted the way the simulator's cost model
+//     accounts exposed all-reduce; and Union, the serial single-replica
+//     oracle, stashes gradients and averages every R batches. R-replica
+//     execution is bit-identical to Union's schedule.
 //
 // AverageGradients and SyncParams are the shared semantic core: the former
 // is DDP's gradient all-reduce on real models, the latter its parameter

@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"salient/internal/graph"
 	"salient/internal/nn"
 	"salient/internal/prep"
-	"salient/internal/sampler"
 	"salient/internal/store"
 	"salient/internal/train"
 )
@@ -77,20 +77,14 @@ type ReplicaStats struct {
 	SyncWait time.Duration // blocked at step barriers (straggler time)
 }
 
-// TrainStats summarizes one executed data-parallel epoch.
+// TrainStats summarizes one executed data-parallel epoch. The embedded
+// train.EpochStats merges the replicas' epochs: batch, row and loss sums
+// add, Compute and PrepWait are the slowest replica's, and Wall is the
+// whole epoch's.
 type TrainStats struct {
-	Epoch     int
-	Replicas  int
-	Steps     int     // synchronized gradient steps (StepsFor)
-	Batches   int     // batches consumed across all replicas
-	Loss      float64 // mean NLL over all batches
-	Acc       float64 // training accuracy over all seed rows
-	NodesSeen int
-	EdgesSeen int
-
-	Wall     time.Duration
-	Compute  time.Duration // max over replicas
-	PrepWait time.Duration // max over replicas
+	train.EpochStats
+	Replicas int
+	Steps    int           // synchronized gradient steps (StepsFor)
 	SyncWait time.Duration // max over replicas
 
 	PerReplica []ReplicaStats
@@ -106,25 +100,14 @@ func (s TrainStats) SyncFraction() float64 {
 	return float64(s.SyncWait) / float64(s.Wall)
 }
 
-// replica is one data-parallel worker: a model copy, its optimizer, its own
-// batch-preparation executor, and its decode scratch.
-type replica struct {
-	model   nn.Model
-	params  []*nn.Param
-	buffers [][]float32 // BatchNorm running stats, nil when the arch has none
-	opt     *nn.Adam
-	exec    *prep.Salient
-	store   store.FeatureStore
-	dec     train.Decoder
-	pred    []int32
-}
-
-// Trainer executes real data-parallel training: R model replicas run
-// concurrently, each feeding from its own prep executor stream over its
-// deterministic shard of the epoch, synchronized once per step by a
-// gradient average (AverageGradients) followed by identical per-replica
-// optimizer steps — the executing counterpart of SimulateEpoch's cost
-// model, with the same replica/seed partitioning scheme.
+// Trainer executes real data-parallel training: R train.Trainer replicas
+// run the one epoch loop (train.Trainer.RunEpoch) concurrently, each
+// feeding from its own prep executor stream over its deterministic shard
+// of the epoch, and wait at a step barrier after every backward pass where
+// a coordinator averages their gradients (AverageGradients) before
+// identical per-replica optimizer steps — the executing counterpart of
+// SimulateEpoch's cost model, with the same replica/seed partitioning
+// scheme.
 //
 // Determinism: batch contents are keyed by (epoch seed, global batch
 // index), dropout is re-keyed per batch the same way, gradients are
@@ -136,7 +119,9 @@ type Trainer struct {
 	DS  *dataset.Dataset
 	Cfg TrainConfig
 
-	reps []*replica
+	reps    []*train.Trainer
+	params  [][]*nn.Param // each replica's parameters, replica order
+	buffers [][][]float32 // each replica's BatchNorm running stats, nil when the arch has none
 	// pin re-pins Cfg.Graph once per epoch and hands every replica's
 	// executor the SAME snapshot: R striped executors over one epoch must
 	// sample one topology version or their union would diverge from the
@@ -174,11 +159,9 @@ func (p *epochPin) repin() {
 // validate normalizes cfg and rejects inconsistent settings.
 func (cfg *TrainConfig) validate() error {
 	cfg.Config.Defaults()
+	cfg.Executor = train.ExecSalient
 	if cfg.Replicas < 1 {
 		return fmt.Errorf("ddp: need at least one replica, got %d", cfg.Replicas)
-	}
-	if len(cfg.Fanouts) != cfg.Layers {
-		return fmt.Errorf("ddp: %d fanouts for %d layers", len(cfg.Fanouts), cfg.Layers)
 	}
 	if cfg.Stores != nil && len(cfg.Stores) != cfg.Replicas {
 		return fmt.Errorf("ddp: %d per-replica stores for %d replicas", len(cfg.Stores), cfg.Replicas)
@@ -200,61 +183,10 @@ func (cfg *TrainConfig) validate() error {
 	return nil
 }
 
-// newReplica builds replica r: an identically initialized model (same seed,
-// same init RNG), its own optimizer, and a prep executor striped so its
-// local batches land on global epoch indices r, r+R, r+2R, …
-func newReplica(ds *dataset.Dataset, cfg TrainConfig, pin graph.Viewer, r int) (*replica, error) {
-	st := cfg.Store
-	if cfg.Stores != nil {
-		st = cfg.Stores[r]
-	}
-	if cfg.Graphs != nil {
-		pin = cfg.Graphs[r] // already a pinned view; no shared epoch pin
-	}
-	model, err := train.NewModel(cfg.Arch, nn.ModelConfig{
-		In:     ds.FeatDim,
-		Hidden: cfg.Hidden,
-		Out:    ds.NumClasses,
-		Layers: cfg.Layers,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opt := nn.NewAdam(model.Params(), cfg.LR)
-	if cfg.WeightDecay > 0 {
-		opt.WithWeightDecay(cfg.WeightDecay)
-	}
-	exec, err := prep.NewSalient(ds, prep.Options{
-		Workers:     cfg.Workers,
-		BatchSize:   cfg.BatchSize,
-		Fanouts:     cfg.Fanouts,
-		Sampler:     sampler.FastConfig(),
-		Ordered:     true,
-		Store:       st,
-		Graph:       pin,
-		FixedOrder:  true,
-		IndexBase:   r,
-		IndexStride: cfg.Replicas,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &replica{
-		model:  model,
-		params: model.Params(),
-		opt:    opt,
-		exec:   exec,
-		store:  st,
-		pred:   make([]int32, cfg.BatchSize),
-	}
-	if bm, ok := model.(nn.BufferModel); ok {
-		rep.buffers = bm.StatBuffers()
-	}
-	return rep, nil
-}
-
-// NewTrainer builds an executing data-parallel trainer over ds.
+// NewTrainer builds an executing data-parallel trainer over ds: R replicas
+// with identically initialized models (same seed), each with its own
+// optimizer and a prep executor striped so its local batches land on global
+// epoch indices r, r+R, r+2R, …
 func NewTrainer(ds *dataset.Dataset, cfg TrainConfig) (*Trainer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -263,21 +195,35 @@ func NewTrainer(ds *dataset.Dataset, cfg TrainConfig) (*Trainer, error) {
 		cfg.Store = store.NewFlat(ds) // one store shared by all replicas
 	}
 	t := &Trainer{DS: ds, Cfg: cfg}
-	var pin graph.Viewer
 	if cfg.Graph != nil {
 		t.pin = newEpochPin(cfg.Graph)
-		pin = t.pin
 	}
 	for r := 0; r < cfg.Replicas; r++ {
-		rep, err := newReplica(ds, cfg, pin, r)
+		rcfg := cfg.Config
+		if cfg.Stores != nil {
+			rcfg.Store = cfg.Stores[r]
+		}
+		switch {
+		case cfg.Graphs != nil:
+			rcfg.Graph = cfg.Graphs[r] // already a pinned view; no shared epoch pin
+		case t.pin != nil:
+			rcfg.Graph = t.pin
+		}
+		rep, err := train.NewReplica(ds, rcfg, train.Stripe{Base: r, Stride: cfg.Replicas})
 		if err != nil {
 			return nil, err
 		}
 		t.reps = append(t.reps, rep)
+		t.params = append(t.params, rep.Model.Params())
+		var bufs [][]float32
+		if bm, ok := rep.Model.(nn.BufferModel); ok {
+			bufs = bm.StatBuffers()
+		}
+		t.buffers = append(t.buffers, bufs)
 	}
 	// The DDP broadcast at initialization. Replicas are already identical
 	// (same init seed), but the broadcast keeps the invariant explicit.
-	SyncParams(t.paramSets())
+	SyncParams(t.params)
 	t.broadcastBuffers()
 	return t, nil
 }
@@ -289,35 +235,23 @@ func NewTrainer(ds *dataset.Dataset, cfg TrainConfig) (*Trainer, error) {
 // shard. Called from the coordinator while every replica is parked at the
 // step barrier, and once at construction.
 func (t *Trainer) broadcastBuffers() {
-	lead := t.reps[0].buffers
-	if lead == nil {
-		return
-	}
-	for _, rep := range t.reps[1:] {
+	lead := t.buffers[0]
+	for _, bufs := range t.buffers[1:] {
 		for i := range lead {
-			copy(rep.buffers[i], lead[i])
+			copy(bufs[i], lead[i])
 		}
 	}
 }
 
-// paramSets returns every replica's parameter list, replica order.
-func (t *Trainer) paramSets() [][]*nn.Param {
-	ps := make([][]*nn.Param, len(t.reps))
-	for r, rep := range t.reps {
-		ps[r] = rep.params
-	}
-	return ps
-}
-
 // Model returns the leader replica's model. After a successful epoch every
 // replica's parameters are bit-identical, so the leader speaks for all.
-func (t *Trainer) Model() nn.Model { return t.reps[0].model }
+func (t *Trainer) Model() nn.Model { return t.reps[0].Model }
 
 // ReplicaModel returns replica r's model, for consistency inspection.
-func (t *Trainer) ReplicaModel(r int) nn.Model { return t.reps[r].model }
+func (t *Trainer) ReplicaModel(r int) nn.Model { return t.reps[r].Model }
 
 // FeatureStore returns the store replica r gathers through.
-func (t *Trainer) FeatureStore(r int) store.FeatureStore { return t.reps[r].store }
+func (t *Trainer) FeatureStore(r int) store.FeatureStore { return t.reps[r].FeatureStore() }
 
 // arrival is one replica's report at a step barrier.
 type arrival struct {
@@ -325,13 +259,67 @@ type arrival struct {
 	err error
 }
 
-// drainStream releases every remaining batch of a stream and waits for its
-// executor goroutines, so an aborting replica never strands pinned buffers.
-func drainStream(s *prep.Stream) {
-	for b := range s.C {
-		b.Release()
+// errCancelled ends a replica's epoch when the coordinator cancels it
+// because another replica failed; the coordinator returns that failure.
+var errCancelled = errors.New("ddp: epoch cancelled")
+
+// barrier is one replica's side of the per-step all-reduce.
+type barrier struct {
+	rep    int
+	arrive chan<- arrival
+	resume chan bool
+	wait   time.Duration // blocked waiting for the coordinator
+	left   bool          // cancelled: the replica arrives no more this epoch
+}
+
+// sync reports err (nil when the replica holds its step's gradient) and
+// blocks until the coordinator releases the step; it reports whether the
+// epoch continues.
+func (b *barrier) sync(err error) bool {
+	b.arrive <- arrival{b.rep, err}
+	start := time.Now()
+	cont := <-b.resume
+	b.wait += time.Since(start)
+	b.left = !cont
+	return cont
+}
+
+// runReplica runs replica r's epoch over its shard. Its update policy waits
+// at the step barrier and then applies the averaged gradient; a
+// preparation failure is reported at the barrier before the stream drains,
+// so peers are cancelled at their next step. The returned Compute excludes
+// the barrier wait.
+func (t *Trainer) runReplica(r, epoch, steps int, perm []int32, b *barrier) train.EpochStats {
+	rep := t.reps[r]
+	shard := ShardSeeds(perm, t.Cfg.BatchSize, r, len(t.reps))
+	update := func() error {
+		if !b.sync(nil) {
+			return errCancelled
+		}
+		rep.Step()
+		return nil
 	}
-	s.Wait()
+	st, err := rep.RunEpoch(epoch, shard, update, func(err error) { b.sync(err) })
+	st.Compute -= b.wait
+	if mine := prep.NumBatches(len(shard), t.Cfg.BatchSize); err == nil && st.Batches < mine {
+		err = fmt.Errorf("stream ended at step %d of %d", st.Batches, mine)
+	}
+	if err != nil {
+		if !b.left {
+			b.sync(err)
+		}
+		return st
+	}
+	// A replica with no batch at the epoch's final partial step still joins
+	// the barrier: it contributes no gradient but receives the participants'
+	// average (DDP's uneven-input join), so every replica's optimizer
+	// advances in lockstep and the replicas stay bit-identical.
+	for s := st.Batches; s < steps; s++ {
+		if update() != nil {
+			break
+		}
+	}
+	return st
 }
 
 // TrainEpoch executes one synchronized data-parallel epoch. The first
@@ -343,167 +331,75 @@ func (t *Trainer) TrainEpoch(epoch int) (TrainStats, error) {
 		// Adopt the dynamic graph's latest state once for all R replicas.
 		t.pin.repin()
 	}
-	epochSeed := train.EpochSeed(t.Cfg.Seed, epoch)
-	perm := prep.EpochPerm(t.DS.Train, epochSeed)
+	perm := prep.EpochPerm(t.DS.Train, train.EpochSeed(t.Cfg.Seed, epoch))
 	nb := prep.NumBatches(len(perm), t.Cfg.BatchSize)
 	steps := StepsFor(nb, R)
 
-	if t.Cfg.Schedule != nil {
-		factor := t.Cfg.Schedule(epoch)
-		for _, rep := range t.reps {
-			rep.opt.SetLRFactor(factor)
-		}
-	}
-
-	type repAcc struct {
-		stats         ReplicaStats
-		lossSum       float64
-		correct, rows int
-		nodes, edges  int
-	}
-	accs := make([]repAcc, R)
-	arrive := make(chan arrival, R)
-	resume := make([]chan bool, R)
-	for r := range resume {
-		resume[r] = make(chan bool, 1)
-	}
-
 	start := time.Now()
+	arrive := make(chan arrival, R)
+	bars := make([]barrier, R)
+	epochs := make([]train.EpochStats, R)
 	var wg sync.WaitGroup
-	for r := 0; r < R; r++ {
+	for r := range bars {
+		bars[r] = barrier{rep: r, arrive: arrive, resume: make(chan bool, 1)}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			rep := t.reps[r]
-			acc := &accs[r]
-			shard := ShardSeeds(perm, t.Cfg.BatchSize, r, R)
-			mySteps := prep.NumBatches(len(shard), t.Cfg.BatchSize)
-			stream := rep.exec.Run(shard, epochSeed)
-			defer drainStream(stream)
-			for s := 0; s < steps; s++ {
-				if s < mySteps {
-					waitStart := time.Now()
-					b, ok := <-stream.C
-					if !ok {
-						arrive <- arrival{r, fmt.Errorf("ddp: replica %d stream ended at step %d of %d", r, s, mySteps)}
-						<-resume[r]
-						return
-					}
-					acc.stats.PrepWait += time.Since(waitStart)
-					if b.Err != nil {
-						b.Release()
-						arrive <- arrival{r, fmt.Errorf("ddp: replica %d: %w", r, b.Err)}
-						<-resume[r]
-						return
-					}
-					cStart := time.Now()
-					res := train.ReplicaStep(rep.model, &rep.dec, b, epochSeed, rep.pred)
-					b.Release()
-					acc.lossSum += res.Loss
-					acc.correct += res.Correct
-					acc.rows += res.Rows
-					acc.nodes += res.Nodes
-					acc.edges += res.Edges
-					acc.stats.Batches++
-					acc.stats.Compute += time.Since(cStart)
-				}
-				// A replica with no batch at the epoch's final partial step
-				// still joins the barrier: it contributes no gradient but
-				// receives the participants' average (DDP's uneven-input
-				// join), so every replica's optimizer advances in lockstep
-				// and the replicas stay bit-identical.
-				arrive <- arrival{r, nil}
-				syncStart := time.Now()
-				cont := <-resume[r]
-				acc.stats.SyncWait += time.Since(syncStart)
-				if !cont {
-					return
-				}
-				uStart := time.Now()
-				if t.Cfg.ClipNorm > 0 {
-					nn.ClipGradNorm(rep.params, t.Cfg.ClipNorm)
-				}
-				rep.opt.Step(rep.params)
-				acc.stats.Compute += time.Since(uStart)
-			}
+			epochs[r] = t.runReplica(r, epoch, steps, perm, &bars[r])
 		}(r)
 	}
-
-	// Coordinator: the per-step all-reduce. Every replica arrives once per
-	// step; only the first p = min(R, nb−s·R) hold a gradient (the others
-	// are final-step idlers). Averaging happens while every replica is
-	// parked at the barrier, so no goroutine ever observes a half-averaged
-	// gradient.
-	var firstErr error
-	params := t.paramSets()
-	for s := 0; s < steps; s++ {
-		p := R
-		if rem := nb - s*R; rem < p {
-			p = rem
-		}
-		stepErr := false
-		for i := 0; i < R; i++ {
-			a := <-arrive
-			if a.err != nil {
-				stepErr = true
-				if firstErr == nil {
-					firstErr = a.err
-				}
-			}
-		}
-		if stepErr {
-			for r := 0; r < R; r++ {
-				resume[r] <- false
-			}
-			break
-		}
-		AverageGradients(params[:p])
-		for r := p; r < R; r++ {
-			for i := range params[0] {
-				params[r][i].G.Copy(params[0][i].G)
-			}
-		}
-		t.broadcastBuffers()
-		for r := 0; r < R; r++ {
-			resume[r] <- true
-		}
-	}
+	err := t.coordinate(nb, steps, arrive, bars)
 	wg.Wait()
 
 	st := TrainStats{
-		Epoch:      epoch,
+		EpochStats: train.EpochStats{Epoch: epoch},
 		Replicas:   R,
 		Steps:      steps,
 		PerReplica: make([]ReplicaStats, R),
 	}
-	var correct, rows int
-	for r := range accs {
-		a := &accs[r]
-		st.PerReplica[r] = a.stats
-		st.Batches += a.stats.Batches
-		st.Loss += a.lossSum
-		correct += a.correct
-		rows += a.rows
-		st.NodesSeen += a.nodes
-		st.EdgesSeen += a.edges
-		if a.stats.Compute > st.Compute {
-			st.Compute = a.stats.Compute
-		}
-		if a.stats.PrepWait > st.PrepWait {
-			st.PrepWait = a.stats.PrepWait
-		}
-		if a.stats.SyncWait > st.SyncWait {
-			st.SyncWait = a.stats.SyncWait
-		}
+	for r, e := range epochs {
+		st.Merge(e)
+		st.PerReplica[r] = ReplicaStats{Batches: e.Batches, PrepWait: e.PrepWait, Compute: e.Compute, SyncWait: bars[r].wait}
+		st.SyncWait = max(st.SyncWait, bars[r].wait)
 	}
 	st.Wall = time.Since(start)
-	if st.Batches > 0 {
-		st.Loss /= float64(st.Batches)
+	return st, err
+}
+
+// coordinate is the per-step all-reduce. Every replica arrives once per
+// step; only the first p = min(R, nb−s·R) hold a gradient (the others are
+// final-step idlers). Averaging happens while every replica is parked at
+// the barrier, so no goroutine ever observes a half-averaged gradient. The
+// first reported failure cancels every replica and is returned.
+func (t *Trainer) coordinate(nb, steps int, arrive <-chan arrival, bars []barrier) error {
+	R := len(bars)
+	release := func(cont bool) {
+		for r := range bars {
+			bars[r].resume <- cont
+		}
 	}
-	if rows > 0 {
-		st.Acc = float64(correct) / float64(rows)
+	for s := 0; s < steps; s++ {
+		var firstErr error
+		for i := 0; i < R; i++ {
+			if a := <-arrive; a.err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("ddp: replica %d: %w", a.rep, a.err)
+			}
+		}
+		if firstErr != nil {
+			release(false)
+			return firstErr
+		}
+		p := min(R, nb-s*R)
+		AverageGradients(t.params[:p])
+		for _, idle := range t.params[p:] {
+			for i, q := range idle {
+				q.G.Copy(t.params[0][i].G)
+			}
+		}
+		t.broadcastBuffers()
+		release(true)
 	}
-	return st, firstErr
+	return nil
 }
 
 // Fit executes n epochs, stopping at the first preparation failure.
@@ -519,25 +415,23 @@ func (t *Trainer) Fit(epochs int) ([]TrainStats, error) {
 	return out, nil
 }
 
-// Union is the serial single-replica oracle for Trainer: it executes the
-// identical union batch schedule on one model with one executor and one
-// goroutine, accumulating each step's R shard gradients and averaging them
-// with the same arithmetic (AverageGradients over stashed gradient sets, in
-// replica order) before one optimizer step. Because batch contents, dropout
-// keys, averaging order, and optimizer state all match, Trainer's final
-// parameters are bit-identical to Union's — the full-loop generalization of
-// the averaged-shard-equals-union-batch gradient property.
+// Union is the serial single-replica oracle for Trainer: one train.Trainer
+// runs the identical union batch schedule on one goroutine, and its update
+// policy stashes each batch's gradient and, every R batches (fewer on the
+// final partial step), averages the stash with the same arithmetic
+// (AverageGradients over stashed gradient sets, in replica order) before
+// one optimizer step. Because batch contents, dropout keys, averaging
+// order, and optimizer state all match, Trainer's final parameters are
+// bit-identical to Union's — the full-loop generalization of the
+// averaged-shard-equals-union-batch gradient property.
 type Union struct {
 	DS  *dataset.Dataset
 	Cfg TrainConfig
 
-	model  nn.Model
+	tr     *train.Trainer
 	params []*nn.Param
-	opt    *nn.Adam
-	exec   *prep.Salient
-	dec    train.Decoder
-	pred   []int32
 	stash  [][]*nn.Param // R gradient stash sets mirroring params
+	held   int           // stashed gradients awaiting this step's average
 }
 
 // NewUnion builds the serial union-schedule oracle for cfg.
@@ -545,41 +439,11 @@ func NewUnion(ds *dataset.Dataset, cfg TrainConfig) (*Union, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	model, err := train.NewModel(cfg.Arch, nn.ModelConfig{
-		In:     ds.FeatDim,
-		Hidden: cfg.Hidden,
-		Out:    ds.NumClasses,
-		Layers: cfg.Layers,
-		Seed:   cfg.Seed,
-	})
+	tr, err := train.NewReplica(ds, cfg.Config, train.Stripe{})
 	if err != nil {
 		return nil, err
 	}
-	opt := nn.NewAdam(model.Params(), cfg.LR)
-	if cfg.WeightDecay > 0 {
-		opt.WithWeightDecay(cfg.WeightDecay)
-	}
-	exec, err := prep.NewSalient(ds, prep.Options{
-		Workers:   cfg.Workers,
-		BatchSize: cfg.BatchSize,
-		Fanouts:   cfg.Fanouts,
-		Sampler:   sampler.FastConfig(),
-		Ordered:   true,
-		Store:     cfg.Store,
-		Graph:     cfg.Graph,
-	})
-	if err != nil {
-		return nil, err
-	}
-	u := &Union{
-		DS:     ds,
-		Cfg:    cfg,
-		model:  model,
-		params: model.Params(),
-		opt:    opt,
-		exec:   exec,
-		pred:   make([]int32, cfg.BatchSize),
-	}
+	u := &Union{DS: ds, Cfg: cfg, tr: tr, params: tr.Model.Params()}
 	for r := 0; r < cfg.Replicas; r++ {
 		mirror := make([]*nn.Param, len(u.params))
 		for i, p := range u.params {
@@ -591,88 +455,44 @@ func NewUnion(ds *dataset.Dataset, cfg TrainConfig) (*Union, error) {
 }
 
 // Model returns the oracle's model.
-func (u *Union) Model() nn.Model { return u.model }
+func (u *Union) Model() nn.Model { return u.tr.Model }
 
 // TrainEpoch runs one epoch of the union schedule: batches arrive in global
 // order; every R consecutive batches (fewer on the final partial step) form
 // one gradient-accumulation step.
-func (u *Union) TrainEpoch(epoch int) (TrainStats, error) {
-	R := u.Cfg.Replicas
-	epochSeed := train.EpochSeed(u.Cfg.Seed, epoch)
-	nb := prep.NumBatches(len(u.DS.Train), u.Cfg.BatchSize)
-	if u.Cfg.Schedule != nil {
-		u.opt.SetLRFactor(u.Cfg.Schedule(epoch))
+func (u *Union) TrainEpoch(epoch int) (train.EpochStats, error) {
+	u.held = 0
+	st, err := u.tr.RunEpoch(epoch, u.DS.Train, u.accumulate, nil)
+	if err == nil && u.held > 0 {
+		u.step()
 	}
-	st := TrainStats{
-		Epoch:      epoch,
-		Replicas:   R,
-		Steps:      StepsFor(nb, R),
-		PerReplica: make([]ReplicaStats, 1),
-	}
+	return st, err
+}
 
-	start := time.Now()
-	stream := u.exec.Run(u.DS.Train, epochSeed)
-	var firstErr error
-	var correct, rows, got int
-	for {
-		waitStart := time.Now()
-		b, ok := <-stream.C
-		if !ok {
-			break
-		}
-		st.PrepWait += time.Since(waitStart)
-		if b.Err != nil || firstErr != nil {
-			if firstErr == nil {
-				firstErr = b.Err
-			}
-			b.Release()
-			continue
-		}
-		cStart := time.Now()
-		res := train.ReplicaStep(u.model, &u.dec, b, epochSeed, u.pred)
-		last := b.Index == nb-1
-		b.Release()
-		for i, p := range u.params {
-			u.stash[got][i].G.Copy(p.G)
-		}
-		got++
-		st.Loss += res.Loss
-		correct += res.Correct
-		rows += res.Rows
-		st.NodesSeen += res.Nodes
-		st.EdgesSeen += res.Edges
-		st.Batches++
-		if got == R || last {
-			AverageGradients(u.stash[:got])
-			for i, p := range u.params {
-				p.G.Copy(u.stash[0][i].G)
-			}
-			if u.Cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(u.params, u.Cfg.ClipNorm)
-			}
-			u.opt.Step(u.params)
-			got = 0
-		}
-		st.Compute += time.Since(cStart)
+// accumulate stashes the batch's gradient and steps once R are held.
+func (u *Union) accumulate() error {
+	for i, p := range u.params {
+		u.stash[u.held][i].G.Copy(p.G)
 	}
-	stream.Wait()
-	if firstErr == nil {
-		firstErr = stream.Err()
+	if u.held++; u.held == u.Cfg.Replicas {
+		u.step()
 	}
-	st.Wall = time.Since(start)
-	st.PerReplica[0] = ReplicaStats{Batches: st.Batches, PrepWait: st.PrepWait, Compute: st.Compute}
-	if st.Batches > 0 {
-		st.Loss /= float64(st.Batches)
+	return nil
+}
+
+// step averages the held gradients into the model and applies one update.
+func (u *Union) step() {
+	AverageGradients(u.stash[:u.held])
+	for i, p := range u.params {
+		p.G.Copy(u.stash[0][i].G)
 	}
-	if rows > 0 {
-		st.Acc = float64(correct) / float64(rows)
-	}
-	return st, firstErr
+	u.tr.Step()
+	u.held = 0
 }
 
 // Fit runs n epochs of the union schedule.
-func (u *Union) Fit(epochs int) ([]TrainStats, error) {
-	out := make([]TrainStats, 0, epochs)
+func (u *Union) Fit(epochs int) ([]train.EpochStats, error) {
+	out := make([]train.EpochStats, 0, epochs)
 	for e := 0; e < epochs; e++ {
 		s, err := u.TrainEpoch(e)
 		if err != nil {

@@ -2,12 +2,15 @@ package ddp
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
 	"salient/internal/device"
+	"salient/internal/mfg"
 	"salient/internal/nn"
 	"salient/internal/partition"
 	"salient/internal/prep"
@@ -420,5 +423,173 @@ func TestBatchNormArchBroadcastsBuffers(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("running means never updated — buffers were not exercised")
+	}
+}
+
+// TestTrainerStatsMatchUnion pins the merge of per-replica epoch stats: on
+// a schedule whose final step is short of replicas, the executed epoch
+// counts exactly the batches, rows and correct predictions the serial
+// oracle counts, and its mean loss differs only by summation order (the
+// trainer sums per replica, then across replicas; the oracle in batch
+// order).
+func TestTrainerStatsMatchUnion(t *testing.T) {
+	ds := ddpDS(t)
+	for _, R := range []int{2, 3} {
+		cfg := ddpCfg(R)
+		cfg.BatchSize = len(ds.Train)/7 + 1
+		nb := prep.NumBatches(len(ds.Train), cfg.BatchSize)
+		if nb%R == 0 {
+			t.Fatalf("R=%d: test needs a partial final step, got nb=%d", R, nb)
+		}
+		tr, err := NewTrainer(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.Fit(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		un, err := NewUnion(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := un.Fit(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := range want {
+			g, w := got[e], want[e]
+			if g.Batches != nb || g.Batches != w.Batches || g.NodesSeen != w.NodesSeen ||
+				g.EdgesSeen != w.EdgesSeen || g.Acc != w.Acc {
+				t.Fatalf("R=%d epoch %d: trainer (batches %d, nodes %d, edges %d, acc %v) vs union (%d, %d, %d, %v), nb=%d",
+					R, e, g.Batches, g.NodesSeen, g.EdgesSeen, g.Acc, w.Batches, w.NodesSeen, w.EdgesSeen, w.Acc, nb)
+			}
+			if d := math.Abs(g.Loss - w.Loss); d > 1e-12*math.Abs(w.Loss) {
+				t.Fatalf("R=%d epoch %d: loss %.17g vs union %.17g", R, e, g.Loss, w.Loss)
+			}
+			sum := 0
+			for _, p := range g.PerReplica {
+				sum += p.Batches
+			}
+			if sum != g.Batches {
+				t.Fatalf("R=%d epoch %d: per-replica batches sum to %d, epoch has %d", R, e, sum, g.Batches)
+			}
+		}
+	}
+}
+
+// fusedCounter counts the fused gather+aggregate calls a flat store serves.
+type fusedCounter struct {
+	*store.Flat
+	n atomic.Int64
+}
+
+func (f *fusedCounter) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error {
+	f.n.Add(1)
+	return f.Flat.GatherAggregate(dst, nodeIDs, blk, batch, op)
+}
+
+// TestFusedTrainerMatchesStagedAndUnion: every replica honours
+// Config.Fused, and fused data-parallel training is bit-identical both to
+// the staged trainer and to the fused serial oracle.
+func TestFusedTrainerMatchesStagedAndUnion(t *testing.T) {
+	ds := ddpDS(t)
+	cfg := ddpCfg(2)
+	staged, err := NewTrainer(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := staged.Fit(2); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Fused = true
+	fs := &fusedCounter{Flat: store.NewFlat(ds)}
+	cfg.Store = fs
+	fused, err := NewTrainer(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fused.Fit(2); err != nil {
+		t.Fatal(err)
+	}
+	if fs.n.Load() == 0 {
+		t.Fatal("fused trainer never ran a fused gather")
+	}
+	un, err := NewUnion(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := un.Fit(2); err != nil {
+		t.Fatal(err)
+	}
+	assertParamsBitEqual(t, "fused vs staged", staged.Model().Params(), fused.Model().Params())
+	assertParamsBitEqual(t, "fused union vs fused trainer", un.Model().Params(), fused.Model().Params())
+	assertParamsBitEqual(t, "fused replicas", fused.Model().Params(), fused.ReplicaModel(1).Params())
+}
+
+// TestSerialLoopDrainsOnGatherFailure covers the epoch loop's
+// drain-on-error path for the two serial drivers, the plain train.Trainer
+// and the Union oracle. With one prep worker the executor stages at most
+// two batches, so a batch left unreleased by a failed epoch stalls a later
+// one: three epochs that each fail mid-way must each return the injected
+// error promptly, and a fourth over a healed store must run to the end.
+func TestSerialLoopDrainsOnGatherFailure(t *testing.T) {
+	ds := ddpDS(t)
+	cfg := ddpCfg(2)
+	cfg.Workers = 1
+	nb := prep.NumBatches(len(ds.Train), cfg.BatchSize)
+	drivers := map[string]func(fs *failingStore) func(int) (train.EpochStats, error){
+		"train.Trainer": func(fs *failingStore) func(int) (train.EpochStats, error) {
+			c := cfg.Config
+			c.Store = fs
+			tr, err := train.New(ds, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr.TrainEpoch
+		},
+		"Union": func(fs *failingStore) func(int) (train.EpochStats, error) {
+			c := cfg
+			c.Store = fs
+			un, err := NewUnion(ds, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return un.TrainEpoch
+		},
+	}
+	for name, build := range drivers {
+		fs := &failingStore{FeatureStore: store.NewFlat(ds), after: 2}
+		epoch := build(fs)
+		run := func(e int) (train.EpochStats, error) {
+			type result struct {
+				st  train.EpochStats
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				st, err := epoch(e)
+				done <- result{st, err}
+			}()
+			select {
+			case r := <-done:
+				return r.st, r.err
+			case <-time.After(time.Minute):
+				t.Fatalf("%s: epoch %d deadlocked", name, e)
+				return train.EpochStats{}, nil
+			}
+		}
+		for e := 0; e < 3; e++ {
+			fs.n.Store(0) // fail after two gathers: mid-epoch
+			if _, err := run(e); !errors.Is(err, errInjected) {
+				t.Fatalf("%s epoch %d: want injected error, got %v", name, e, err)
+			}
+		}
+		fs.after = math.MaxInt64
+		st, err := run(3)
+		if err != nil || st.Batches != nb {
+			t.Fatalf("%s: healed epoch ran %d of %d batches, err %v", name, st.Batches, nb, err)
+		}
 	}
 }

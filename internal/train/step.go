@@ -8,9 +8,8 @@ import (
 )
 
 // EpochSeed derives the per-epoch shuffling/sampling seed from the training
-// seed — one definition shared by the single-replica Trainer and the
-// executing data-parallel trainer (internal/ddp), so both walk the same
-// epoch permutations.
+// seed — one definition for every replica, sole or data-parallel
+// (internal/ddp), so all walk the same epoch permutations.
 func EpochSeed(seed uint64, epoch int) uint64 {
 	return seed*0x9e3779b97f4a7c15 + uint64(epoch) + 1
 }
@@ -64,14 +63,14 @@ type StepStats struct {
 	Edges   int
 }
 
-// ReplicaStep is the epoch body of mini-batch training — decode the staged
-// batch, re-key dropout by (epochSeed, batch.GlobalIndex), forward, NLL
-// loss, backward — factored out of the single-replica loop so data-parallel
-// replicas (internal/ddp) run the identical computation. Gradients are
-// zeroed and then left accumulated in the model's parameters; the caller
-// owns the update policy (an immediate optimizer step for single-replica
-// training, cross-replica averaging first for DDP). pred is caller-provided
-// argmax scratch with capacity for at least the batch's seed rows.
+// ReplicaStep is the body of RunEpoch, the one epoch loop every replica
+// runs: decode the staged batch, re-key dropout by (epochSeed,
+// batch.GlobalIndex), forward, NLL loss, backward. Gradients are zeroed and
+// then left accumulated in the model's parameters for the replica's update
+// policy: the plain trainer steps at once, ddp.Union stashes them and
+// averages every R batches, ddp.Trainer averages them across replicas at
+// the step barrier. pred is caller-provided argmax scratch with capacity for
+// at least the batch's seed rows.
 func ReplicaStep(model nn.Model, dec *Decoder, b *prep.Batch, epochSeed uint64, pred []int32) StepStats {
 	if rs, ok := model.(nn.DropoutReseeder); ok {
 		rs.ReseedDropout(DropoutSeed(epochSeed, b.GlobalIndex))

@@ -129,19 +129,70 @@ type EpochStats struct {
 	Compute   time.Duration // forward+backward+step time
 	NodesSeen int           // total expanded-neighborhood rows processed
 	EdgesSeen int
+
+	lossSum       float64 // batch losses, summed in batch order
+	correct, rows int
 }
 
-// Trainer owns a model, its optimizer, and a batch-preparation executor.
+// add accounts one batch's step.
+func (s *EpochStats) add(r StepStats) {
+	s.lossSum += r.Loss
+	s.correct += r.Correct
+	s.rows += r.Rows
+	s.NodesSeen += r.Nodes
+	s.EdgesSeen += r.Edges
+	s.Batches++
+}
+
+// finish derives the mean loss and the accuracy from the sums.
+func (s *EpochStats) finish() {
+	if s.Batches > 0 {
+		s.Loss = s.lossSum / float64(s.Batches)
+	}
+	if s.rows > 0 {
+		s.Acc = float64(s.correct) / float64(s.rows)
+	}
+}
+
+// Merge folds o, the stats of a replica that ran the same epoch
+// concurrently, into s: batch counts, loss and accuracy sums add, and each
+// duration takes the slower replica's.
+func (s *EpochStats) Merge(o EpochStats) {
+	s.lossSum += o.lossSum
+	s.correct += o.correct
+	s.rows += o.rows
+	s.NodesSeen += o.NodesSeen
+	s.EdgesSeen += o.EdgesSeen
+	s.Batches += o.Batches
+	s.Wall = max(s.Wall, o.Wall)
+	s.PrepWait = max(s.PrepWait, o.PrepWait)
+	s.Compute = max(s.Compute, o.Compute)
+	s.finish()
+}
+
+// Stripe places a replica's local batches on the global epoch schedule:
+// local batch i is global batch Base+i×Stride, and the replica trains the
+// seeds it is handed in the order given (the caller owns the epoch
+// permutation). The zero Stripe is a sole trainer that shuffles its own
+// epochs.
+type Stripe struct{ Base, Stride int }
+
+// Trainer is one training replica: a model, its optimizer, a
+// batch-preparation executor, and the decode and argmax scratch its epoch
+// loop reuses. New builds a sole trainer over the whole training split;
+// internal/ddp builds one per data-parallel replica with NewReplica.
 type Trainer struct {
 	DS    *dataset.Dataset
 	Model nn.Model
 	Cfg   Config
 
+	params  []*nn.Param
 	opt     *nn.Adam
 	store   store.FeatureStore
 	salient *prep.Salient
 	pyg     *prep.PyG
 	dec     Decoder // reusable decode target
+	pred    []int32 // argmax scratch, one slot per seed row
 }
 
 // FeatureStore returns the store the trainer reads features through, for
@@ -150,6 +201,13 @@ func (t *Trainer) FeatureStore() store.FeatureStore { return t.store }
 
 // New builds a trainer over ds. Fanout length must equal the layer count.
 func New(ds *dataset.Dataset, cfg Config) (*Trainer, error) {
+	return NewReplica(ds, cfg, Stripe{})
+}
+
+// NewReplica builds one replica over ds: the model (replicas with one Seed
+// start bit-identical), its optimizer, and an executor that gathers through
+// cfg.Store, samples cfg.Graph, and places its batches by stripe.
+func NewReplica(ds *dataset.Dataset, cfg Config, stripe Stripe) (*Trainer, error) {
 	cfg.Defaults()
 	if len(cfg.Fanouts) != cfg.Layers {
 		return nil, fmt.Errorf("train: %d fanouts for %d layers", len(cfg.Fanouts), cfg.Layers)
@@ -164,21 +222,31 @@ func New(ds *dataset.Dataset, cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &Trainer{DS: ds, Model: model, Cfg: cfg, opt: nn.NewAdam(model.Params(), cfg.LR)}
+	tr := &Trainer{
+		DS:     ds,
+		Model:  model,
+		Cfg:    cfg,
+		params: model.Params(),
+		opt:    nn.NewAdam(model.Params(), cfg.LR),
+		store:  cfg.Store,
+		pred:   make([]int32, cfg.BatchSize),
+	}
 	if cfg.WeightDecay > 0 {
 		tr.opt.WithWeightDecay(cfg.WeightDecay)
 	}
-	tr.store = cfg.Store
 	if tr.store == nil {
 		tr.store = store.NewFlat(ds)
 	}
 	opts := prep.Options{
-		Workers:   cfg.Workers,
-		BatchSize: cfg.BatchSize,
-		Fanouts:   cfg.Fanouts,
-		Ordered:   true, // bit-reproducible training
-		Store:     tr.store,
-		Graph:     cfg.Graph,
+		Workers:     cfg.Workers,
+		BatchSize:   cfg.BatchSize,
+		Fanouts:     cfg.Fanouts,
+		Ordered:     true, // bit-reproducible training
+		Store:       tr.store,
+		Graph:       cfg.Graph,
+		FixedOrder:  stripe.Stride > 0,
+		IndexBase:   stripe.Base,
+		IndexStride: stripe.Stride,
 	}
 	if cfg.Fused {
 		fm, ok := model.(nn.FusedModel)
@@ -219,21 +287,34 @@ func (t *Trainer) epochSeed(epoch int) uint64 {
 	return EpochSeed(t.Cfg.Seed, epoch)
 }
 
-// TrainEpoch runs one epoch of mini-batch SGD over the training split. A
-// batch-preparation failure drains the epoch (releasing every staged
-// buffer) and is returned instead of panicking inside an executor worker.
-func (t *Trainer) TrainEpoch(epoch int) (EpochStats, error) {
+// Step applies the optimizer update to the gradients the replica's
+// parameters hold: clipping to ClipNorm when set, then Adam.
+func (t *Trainer) Step() {
+	if t.Cfg.ClipNorm > 0 {
+		nn.ClipGradNorm(t.params, t.Cfg.ClipNorm)
+	}
+	t.opt.Step(t.params)
+}
+
+// RunEpoch is the epoch loop every replica runs. It prepares seeds (the
+// training split for a sole trainer, the replica's shard under
+// data-parallel training), and for each batch runs ReplicaStep, releases
+// the batch and calls update: the plain trainer's update is Step, ddp.Union
+// stashes gradients and averages every R batches, and ddp.Trainer waits at
+// the step barrier. A non-nil error from update ends the epoch. The first
+// preparation failure is passed to abort (when non-nil) before the loop
+// drains the stream, releasing every remaining batch; either error is
+// returned.
+func (t *Trainer) RunEpoch(epoch int, seeds []int32, update func() error, abort func(error)) (EpochStats, error) {
 	st := EpochStats{Epoch: epoch}
 	if t.Cfg.Schedule != nil {
 		t.opt.SetLRFactor(t.Cfg.Schedule(epoch))
 	}
 	start := time.Now()
 	epochSeed := t.epochSeed(epoch)
-	stream := t.run(t.DS.Train, epochSeed)
+	stream := t.run(seeds, epochSeed)
 
 	var firstErr error
-	var correct, total int
-	pred := make([]int32, t.Cfg.BatchSize)
 	for {
 		waitStart := time.Now()
 		b, ok := <-stream.C
@@ -241,42 +322,39 @@ func (t *Trainer) TrainEpoch(epoch int) (EpochStats, error) {
 			break
 		}
 		st.PrepWait += time.Since(waitStart)
-		if b.Err != nil || firstErr != nil {
-			if firstErr == nil {
-				firstErr = b.Err
-			}
+		if firstErr != nil {
 			b.Release()
 			continue
 		}
-
-		cStart := time.Now()
-		res := ReplicaStep(t.Model, &t.dec, b, epochSeed, pred)
-		st.Loss += res.Loss
-		correct += res.Correct
-		total += res.Rows
-		if t.Cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(t.Model.Params(), t.Cfg.ClipNorm)
+		if b.Err != nil {
+			firstErr = b.Err
+			b.Release()
+			if abort != nil {
+				abort(firstErr)
+			}
+			continue
 		}
-		t.opt.Step(t.Model.Params())
-
-		st.Batches++
-		st.NodesSeen += res.Nodes
-		st.EdgesSeen += res.Edges
-		st.Compute += time.Since(cStart)
+		cStart := time.Now()
+		st.add(ReplicaStep(t.Model, &t.dec, b, epochSeed, t.pred))
 		b.Release()
+		firstErr = update()
+		st.Compute += time.Since(cStart)
 	}
 	stream.Wait()
 	if firstErr == nil {
 		firstErr = stream.Err()
 	}
 	st.Wall = time.Since(start)
-	if st.Batches > 0 {
-		st.Loss /= float64(st.Batches)
-	}
-	if total > 0 {
-		st.Acc = float64(correct) / float64(total)
-	}
+	st.finish()
 	return st, firstErr
+}
+
+// TrainEpoch runs one epoch of mini-batch SGD over the training split,
+// stepping the optimizer after every batch. A batch-preparation failure
+// drains the epoch (releasing every staged buffer) and is returned instead
+// of panicking inside an executor worker.
+func (t *Trainer) TrainEpoch(epoch int) (EpochStats, error) {
+	return t.RunEpoch(epoch, t.DS.Train, func() error { t.Step(); return nil }, nil)
 }
 
 // Fit trains for n epochs and returns per-epoch stats, stopping at the
@@ -314,7 +392,6 @@ func (t *Trainer) Evaluate(nodes []int32, fanouts []int, seed uint64) (float64, 
 	stream := ex.Run(nodes, seed)
 	var firstErr error
 	correct, total := 0, 0
-	pred := make([]int32, t.Cfg.BatchSize)
 	for b := range stream.C {
 		if b.Err != nil || firstErr != nil {
 			if firstErr == nil {
@@ -325,9 +402,9 @@ func (t *Trainer) Evaluate(nodes []int32, fanouts []int, seed uint64) (float64, 
 		}
 		logp := forwardBatch(t.Model, &t.dec, b, false)
 		labels := b.Labels()
-		logp.ArgmaxRows(pred[:logp.Rows])
+		logp.ArgmaxRows(t.pred[:logp.Rows])
 		for i := 0; i < logp.Rows; i++ {
-			if pred[i] == labels[i] {
+			if t.pred[i] == labels[i] {
 				correct++
 			}
 		}
