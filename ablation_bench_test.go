@@ -72,10 +72,11 @@ func BenchmarkAblationSliceKernel(b *testing.B) {
 	m := sm.Sample(rng.New(1), ds.Train[:512])
 	nodeIDs := append([]int32(nil), m.NodeIDs...)
 	dst := slicing.NewPinned(len(nodeIDs), ds.FeatDim, 512)
+	src := slicing.NewFlatSource(ds.FeatHalf, ds.FeatDim, ds.Labels)
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := slicing.SliceHalf(dst, ds.FeatHalf, ds.FeatDim, ds.Labels, nodeIDs, 512); err != nil {
+			if err := slicing.Slice(dst, src, nodeIDs, 512); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,7 +96,7 @@ func BenchmarkAblationSliceKernel(b *testing.B) {
 				wg.Wait()
 			}
 			for i := 0; i < b.N; i++ {
-				if err := slicing.SliceHalfStriped(dst, ds.FeatHalf, ds.FeatDim, ds.Labels, nodeIDs, 512, workers, run); err != nil {
+				if err := slicing.SliceStriped(dst, src, nodeIDs, 512, workers, run); err != nil {
 					b.Fatal(err)
 				}
 			}

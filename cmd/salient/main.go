@@ -65,7 +65,7 @@
 //	               as a fraction of N (default 0.2)
 //	-cachepolicy P train/serve with a cached store: cache placement policy:
 //	               degree | lru | vip (default degree). vip admits rows by
-//	               observed access frequency x miss cost, adapting the
+//	               observed access frequency, adapting the
 //	               resident set to the live request mix.
 //	-embrows N     serve: rows in the historical layer-embedding cache
 //	               (default 0 = reuse off). Hot frontier nodes with a fresh

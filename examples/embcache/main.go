@@ -6,7 +6,7 @@
 //
 //  1. VIP feature-cache placement (internal/cache). The static policy
 //     pins the top-K degree rows forever; VIP admits rows by observed
-//     access frequency x miss cost, so at equal capacity it moves
+//     access frequency, so at equal capacity it moves
 //     strictly fewer feature bytes once the hot set and the hub set
 //     diverge.
 //
@@ -62,12 +62,11 @@ func main() {
 	meas := serve.ZipfNodes(ds.G.N, 1.1, seed+101, seed+8, requests)
 	cacheRows := int(ds.G.N) / 5
 
-	// 1. Cache placement: static top-degree vs VIP frequency x cost, same
+	// 1. Cache placement: static top-degree vs VIP frequency, same
 	// row budget, same traffic.
 	fmt.Printf("\ncache placement at %d rows under Zipf(1.1) traffic:\n", cacheRows)
 	for _, policy := range []cache.Policy{cache.StaticDegree, cache.VIP} {
-		cached, err := store.NewCachedOpts(store.NewFlat(ds), ds.G,
-			store.CacheOptions{Rows: cacheRows, Policy: policy})
+		cached, err := store.NewCached(store.NewFlat(ds), ds.G, cacheRows, policy)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func embCacheResults(o EmbCacheOpts) ([]EmbCacheResult, error) {
 // under Poisson open-loop load (with churn applied live for dynamic rows),
 // then probe agreement against the oracle.
 func measureEmbCache(tr *train.Trainer, ds *dataset.Dataset, fanouts []int, cacheRows int, policy cache.Policy, embRows int, stale uint64, churn float64, warm, meas, probe []int32, oracle map[int32]int32, o EmbCacheOpts) (EmbCacheResult, error) {
-	cached, err := store.NewCachedOpts(store.NewFlat(ds), ds.G, store.CacheOptions{Rows: cacheRows, Policy: policy})
+	cached, err := store.NewCached(store.NewFlat(ds), ds.G, cacheRows, policy)
 	if err != nil {
 		return EmbCacheResult{}, err
 	}

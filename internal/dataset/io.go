@@ -25,6 +25,17 @@ const (
 	maxEntity = int64(1) << 34 // sanity cap on section lengths
 )
 
+// sections names the container's arrays in file order, with the byte size
+// of one element, so the loader can check the payload length against the
+// header before allocating anything.
+var sections = [...]struct {
+	name string
+	size int64
+}{
+	{"ptr", 8}, {"adj", 4}, {"features", 2}, {"labels", 4},
+	{"train", 4}, {"val", 4}, {"test", 4},
+}
+
 // Save writes the dataset to w.
 func (d *Dataset) Save(w io.Writer) error {
 	crc := crc32.NewIEEE()
@@ -96,28 +107,33 @@ func LoadFrom(r io.Reader) (*Dataset, error) {
 	}
 	var nameLen int64
 	if err := le(&nameLen); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: read name length: %w", err)
 	}
 	if nameLen < 0 || nameLen > maxstring {
 		return nil, fmt.Errorf("dataset: unreasonable name length %d", nameLen)
 	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: read name: %w", err)
 	}
 
 	var n, classes, featDim int32
-	var lens [7]int64
 	if err := le(&n, &classes, &featDim); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: read header: %w", err)
 	}
-	for i := range lens {
+	if n < 0 || classes < 0 || featDim < 0 {
+		return nil, fmt.Errorf("dataset: negative header field (N %d, classes %d, dim %d)", n, classes, featDim)
+	}
+	var lens [len(sections)]int64
+	var need int64 // payload bytes the sections claim, checked before any allocation
+	for i, sec := range sections {
 		if err := le(&lens[i]); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dataset: read %s length: %w", sec.name, err)
 		}
 		if lens[i] < 0 || lens[i] > maxEntity {
-			return nil, fmt.Errorf("dataset: unreasonable section length %d", lens[i])
+			return nil, fmt.Errorf("dataset: unreasonable %s length %d", sec.name, lens[i])
 		}
+		need += lens[i] * sec.size
 	}
 	if lens[0] != int64(n)+1 {
 		return nil, fmt.Errorf("dataset: ptr length %d != N+1", lens[0])
@@ -127,6 +143,9 @@ func LoadFrom(r io.Reader) (*Dataset, error) {
 	}
 	if lens[3] != int64(n) {
 		return nil, fmt.Errorf("dataset: label length %d != N", lens[3])
+	}
+	if need != int64(br.Len()) {
+		return nil, fmt.Errorf("dataset: sections need %d bytes, payload holds %d", need, br.Len())
 	}
 
 	d := &Dataset{
@@ -140,14 +159,21 @@ func LoadFrom(r io.Reader) (*Dataset, error) {
 		Val:        make([]int32, lens[5]),
 		Test:       make([]int32, lens[6]),
 	}
-	if err := le(d.G.Ptr, d.G.Adj, d.FeatHalf, d.Labels, d.Train, d.Val, d.Test); err != nil { //lint:allow topologyseam deserializer rebuilds the raw representation before Validate gates it
-		return nil, err
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("dataset: %d trailing bytes after sections", br.Len())
+	dsts := [len(sections)]any{d.G.Ptr, d.G.Adj, d.FeatHalf, d.Labels, d.Train, d.Val, d.Test} //lint:allow topologyseam deserializer rebuilds the raw representation before Validate gates it
+	for i, dst := range dsts {
+		if err := le(dst); err != nil {
+			return nil, fmt.Errorf("dataset: read %s section: %w", sections[i].name, err)
+		}
 	}
 	if err := d.G.Validate(); err != nil {
 		return nil, fmt.Errorf("dataset: loaded graph invalid: %w", err)
+	}
+	for i, split := range [][]int32{d.Train, d.Val, d.Test} {
+		for _, v := range split {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("dataset: %s split holds node %d outside [0, %d)", sections[4+i].name, v, n)
+			}
+		}
 	}
 	// Recover the float32 master copy from the half-precision features.
 	d.Feat = tensor.New(int(n), int(featDim))

@@ -22,16 +22,10 @@ type ClusterOptions struct {
 	// Precision is the storage/wire precision of every host's store. Zero
 	// selects fp16.
 	Precision half.Precision
-	// CacheRows bounds each host's remote-row mirror (see
-	// store.RemoteOptions.CacheRows).
+	// CacheRows bounds each host's remote-row mirror, warmed once at
+	// construction with the highest-degree remote rows (see
+	// store.RemoteOptions.CacheRows). Zero disables the mirror.
 	CacheRows int
-	// Mirror selects each host's mirror placement policy: degree-warmed at
-	// construction (default) or VIP access-frequency re-placed from fetch
-	// traffic (see store.MirrorVIP).
-	Mirror store.MirrorPolicy
-	// MirrorRefreshEvery sets the VIP re-placement cadence in gathers
-	// (see store.RemoteOptions.MirrorRefreshEvery).
-	MirrorRefreshEvery int
 	// Assignment optionally fixes the node→part placement. Nil computes an
 	// LDG assignment over the dataset graph (the placement §8 argues keeps
 	// cross-host traffic low).
@@ -155,10 +149,8 @@ func NewCluster(ds *dataset.Dataset, opts ClusterOptions) (*Cluster, error) {
 			c.conns = append(c.conns, conn)
 		}
 		st, err := store.NewRemote(ds, a, int32(r), peers, store.RemoteOptions{
-			Precision:          prec,
-			CacheRows:          opts.CacheRows,
-			Mirror:             opts.Mirror,
-			MirrorRefreshEvery: opts.MirrorRefreshEvery,
+			Precision: prec,
+			CacheRows: opts.CacheRows,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("dist: part %d store: %w", r, err))

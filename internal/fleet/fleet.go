@@ -62,9 +62,6 @@ type Options struct {
 	Serve serve.Options
 	// Routing selects the routing policy. Default RouteHash.
 	Routing Routing
-	// VNodes is the consistent-hash ring's virtual nodes per replica;
-	// <= 0 selects DefaultVNodes.
-	VNodes int
 	// LoadFactor > 1 enables consistent hashing with bounded loads: a
 	// request spills past its home replica to the next ring successor
 	// whenever the home's in-flight count exceeds
@@ -184,7 +181,7 @@ func New(ds *dataset.Dataset, opts Options, models ...nn.Model) (*Fleet, error) 
 	}
 	f := &Fleet{
 		opts:    opts,
-		ring:    NewRing(opts.VNodes),
+		ring:    NewRing(),
 		results: newResultCache(opts.ResultRows),
 		routed:  make([]int64, opts.Replicas),
 	}

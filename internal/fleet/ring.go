@@ -50,23 +50,16 @@ type point struct {
 // Ring is not safe for concurrent mutation; the Fleet mutates it only at
 // construction. Home and Walk are read-only and safe to share.
 type Ring struct {
-	vnodes int
 	points []point // sorted by hash
 }
 
-// DefaultVNodes is the virtual-node count per replica when Options.VNodes
-// is zero: enough to keep the max/mean arc-ownership ratio within a few
-// percent for small fleets without making membership changes expensive.
-const DefaultVNodes = 64
+// vnodesPerReplica is the ring's virtual-node count per replica: enough to
+// keep the max/mean arc-ownership ratio within a few percent for small
+// fleets without making membership changes expensive.
+const vnodesPerReplica = 64
 
-// NewRing builds an empty ring with the given virtual nodes per replica
-// (<= 0 selects DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes}
-}
+// NewRing builds an empty ring.
+func NewRing() *Ring { return &Ring{} }
 
 // Add inserts replica's virtual nodes. Adding an existing member is an
 // error (the ring would double-own its arcs).
@@ -76,7 +69,7 @@ func (r *Ring) Add(replica int) error {
 			return fmt.Errorf("fleet: replica %d already on the ring", replica)
 		}
 	}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodesPerReplica; v++ {
 		r.points = append(r.points, point{hash: vnodeHash(replica, v), replica: replica})
 	}
 	sort.Slice(r.points, func(a, b int) bool {

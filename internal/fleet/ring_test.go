@@ -22,7 +22,7 @@ func homes(r *Ring, m int) []int {
 func TestRingMinimalRemapOnJoin(t *testing.T) {
 	const keys = 20000
 	for _, n := range []int{2, 3, 5, 8} {
-		r := NewRing(0)
+		r := NewRing()
 		for i := 0; i < n; i++ {
 			if err := r.Add(i); err != nil {
 				t.Fatal(err)
@@ -57,7 +57,7 @@ func TestRingMinimalRemapOnJoin(t *testing.T) {
 func TestRingRemoveRemapsOnlyRemoved(t *testing.T) {
 	const keys = 20000
 	const n = 5
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < n; i++ {
 		if err := r.Add(i); err != nil {
 			t.Fatal(err)
@@ -81,12 +81,12 @@ func TestRingRemoveRemapsOnlyRemoved(t *testing.T) {
 	}
 }
 
-// TestRingBalance checks vnode smoothing: with DefaultVNodes, no replica
-// owns more than ~2x its fair share of a uniform key population.
+// TestRingBalance checks vnode smoothing: with vnodesPerReplica vnodes, no
+// replica owns more than ~2x its fair share of a uniform key population.
 func TestRingBalance(t *testing.T) {
 	const keys = 50000
 	for _, n := range []int{2, 4, 8} {
-		r := NewRing(0)
+		r := NewRing()
 		for i := 0; i < n; i++ {
 			if err := r.Add(i); err != nil {
 				t.Fatal(err)
@@ -112,7 +112,7 @@ func TestRingBalance(t *testing.T) {
 // key's home, every member exactly once.
 func TestRingWalkVisitsAllDistinct(t *testing.T) {
 	const n = 6
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < n; i++ {
 		if err := r.Add(i); err != nil {
 			t.Fatal(err)
@@ -150,7 +150,7 @@ func TestRingBoundedLoadBalance(t *testing.T) {
 	const n = 4
 	const c = 1.25
 	const requests = 10000
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < n; i++ {
 		if err := r.Add(i); err != nil {
 			t.Fatal(err)
@@ -194,7 +194,7 @@ func TestRingBoundedLoadBalance(t *testing.T) {
 
 // TestRingAddDuplicate pins the double-membership guard.
 func TestRingAddDuplicate(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if err := r.Add(1); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"salient/internal/cache"
 	"salient/internal/graph"
 	"salient/internal/rng"
+	"salient/internal/store"
 )
 
 // TestDynamicZeroDeltaMatchesStatic is the serving half of the tentpole
@@ -130,7 +131,6 @@ func TestConcurrentUpdatesAndServing(t *testing.T) {
 	srv, err := New(tr.Model, ds, Options{
 		Fanouts: serveFanouts, Workers: 3, MaxBatch: 8, Seed: serveSeed,
 		Graph: dyn, CacheRows: int(ds.G.N) / 10, CachePolicy: cache.StaticDegree,
-		CacheRefreshEvery: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,5 +282,85 @@ func TestUpdatedTopologyChangesSampling(t *testing.T) {
 	}
 	if pa.Version != va {
 		t.Fatalf("prediction pinned version %d, graph at %d", pa.Version, va)
+	}
+}
+
+// TestRefreshCacheRateLimited pins the serving layer's feature-cache
+// refresh rate limit: adopting a snapshot fewer than cacheRefreshEvery
+// versions past the last refresh must not replan; reaching it must replan
+// exactly once. A leaf promoted to the top-degree node between refreshes
+// shows whether the placement was actually recomputed.
+func TestRefreshCacheRateLimited(t *testing.T) {
+	ds, tr := fitted(t)
+	dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(tr.Model, ds, Options{
+		Fanouts: serveFanouts, Workers: 1, Seed: serveSeed,
+		Graph: dyn, CacheRows: 1, CachePolicy: cache.StaticDegree,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := srv.store.(*store.Cached)
+	advanceTo := func(v uint64) graph.View { // isolated-node appends, one version each
+		for dyn.Version() < v {
+			if _, err := dyn.AddNodes(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dyn.View()
+	}
+
+	first := advanceTo(1)
+	srv.refreshCache(first)
+	if got := srv.refreshed.Load(); got != first.Version() {
+		t.Fatalf("first refresh: watermark %d, want %d", got, first.Version())
+	}
+
+	// Give the lowest-degree node more out-edges than any other node has.
+	hub, maxDeg := int32(0), int32(0)
+	for v := int32(0); v < ds.G.N; v++ {
+		if d := ds.G.Degree(v); d < ds.G.Degree(hub) {
+			hub = v
+		} else if d > maxDeg {
+			maxDeg = d
+		}
+	}
+	var src, dst []int32
+	for v := int32(0); v < ds.G.N && int32(len(src)) <= maxDeg+1; v++ {
+		if v != hub {
+			src, dst = append(src, hub), append(dst, v)
+		}
+	}
+	if _, err := dyn.AddEdges(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if dyn.View().Degree(hub) <= maxDeg {
+		t.Fatalf("hub %d has degree %d, not above %d", hub, dyn.View().Degree(hub), maxDeg)
+	}
+
+	inside := advanceTo(first.Version() + cacheRefreshEvery - 1)
+	srv.refreshCache(inside)
+	if got := srv.refreshed.Load(); got != first.Version() {
+		t.Fatalf("refresh %d versions after the last one replanned (watermark %d)", cacheRefreshEvery-1, got)
+	}
+	if c.Cache().Resident(hub) {
+		t.Fatal("placement changed inside the rate-limit window")
+	}
+
+	due := advanceTo(first.Version() + cacheRefreshEvery)
+	srv.refreshCache(due)
+	if got := srv.refreshed.Load(); got != due.Version() {
+		t.Fatalf("refresh at the window edge: watermark %d, want %d", got, due.Version())
+	}
+	if !c.Cache().Resident(hub) {
+		t.Fatal("refresh at the window edge did not replan")
+	}
+	srv.refreshCache(due)
+	if got := srv.refreshed.Load(); got != due.Version() {
+		t.Fatalf("repeat refresh moved the watermark to %d", got)
 	}
 }

@@ -285,19 +285,6 @@ func SliceStriped(dst *Pinned, src Source, nodeIDs []int32, batch, nWorkers int,
 	return nil
 }
 
-// SliceHalf is Slice over the flat single-array layout, kept as the
-// convenient entry point for callers that hold raw feature/label slices.
-//
-//salient:noalloc
-func SliceHalf(dst *Pinned, feat []half.Float16, featDim int, labels []int32, nodeIDs []int32, batch int) error {
-	return Slice(dst, NewFlatSource(feat, featDim, labels), nodeIDs, batch)
-}
-
-// SliceHalfStriped is SliceStriped over the flat single-array layout.
-func SliceHalfStriped(dst *Pinned, feat []half.Float16, featDim int, labels []int32, nodeIDs []int32, batch, nWorkers int, run func(stripes []func())) error {
-	return SliceStriped(dst, NewFlatSource(feat, featDim, labels), nodeIDs, batch, nWorkers, run)
-}
-
 // DecodeFeatures converts a staged feature block into the float32 tensor
 // used by compute (the GPU-side widening in the paper: transfers stay at
 // storage width, kernels run single precision). fp16 rows widen exactly,

@@ -27,7 +27,7 @@ func TestSliceHalf(t *testing.T) {
 	feat, labels := makeFeatures(t, n, dim)
 	nodeIDs := []int32{5, 99, 0, 42, 5}
 	dst := NewPinned(2, dim, 2) // deliberately small: must grow
-	if err := SliceHalf(dst, feat, dim, labels, nodeIDs, 3); err != nil {
+	if err := Slice(dst, NewFlatSource(feat, dim, labels), nodeIDs, 3); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Rows != len(nodeIDs) || dst.Dim != dim {
@@ -50,7 +50,7 @@ func TestSliceHalf(t *testing.T) {
 func TestSliceHalfBatchTooLarge(t *testing.T) {
 	feat, labels := makeFeatures(t, 10, 4)
 	dst := NewPinned(4, 4, 4)
-	if err := SliceHalf(dst, feat, 4, labels, []int32{1, 2}, 3); err == nil {
+	if err := Slice(dst, NewFlatSource(feat, 4, labels), []int32{1, 2}, 3); err == nil {
 		t.Fatal("batch > nodes accepted")
 	}
 }
@@ -64,12 +64,12 @@ func TestSliceHalfStripedMatchesSerial(t *testing.T) {
 		nodeIDs[i] = int32(r.Intn(n))
 	}
 	serial := NewPinned(1, dim, 1)
-	if err := SliceHalf(serial, feat, dim, labels, nodeIDs, 10); err != nil {
+	if err := Slice(serial, NewFlatSource(feat, dim, labels), nodeIDs, 10); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8, 100} {
 		striped := NewPinned(1, dim, 1)
-		err := SliceHalfStriped(striped, feat, dim, labels, nodeIDs, 10, workers,
+		err := SliceStriped(striped, NewFlatSource(feat, dim, labels), nodeIDs, 10, workers,
 			func(stripes []func()) {
 				for _, s := range stripes {
 					s()
@@ -96,7 +96,7 @@ func TestDecodeFeatures(t *testing.T) {
 	feat, labels := makeFeatures(t, n, dim)
 	nodeIDs := []int32{3, 9, 14}
 	p := NewPinned(3, dim, 3)
-	if err := SliceHalf(p, feat, dim, labels, nodeIDs, 3); err != nil {
+	if err := Slice(p, NewFlatSource(feat, dim, labels), nodeIDs, 3); err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.New(3, dim)
@@ -125,7 +125,7 @@ func TestDecodeShapePanics(t *testing.T) {
 func TestPinnedBytes(t *testing.T) {
 	feat, labels := makeFeatures(t, 10, 4)
 	p := NewPinned(1, 4, 1)
-	if err := SliceHalf(p, feat, 4, labels, []int32{1, 2, 3}, 2); err != nil {
+	if err := Slice(p, NewFlatSource(feat, 4, labels), []int32{1, 2, 3}, 2); err != nil {
 		t.Fatal(err)
 	}
 	// 3 rows × 4 cols × 2B + 2 labels × 4B = 32.
@@ -272,10 +272,11 @@ func BenchmarkSliceHalf1024x128(b *testing.B) {
 		nodeIDs[i] = int32(r.Intn(n))
 	}
 	dst := NewPinned(1024, dim, 1024)
+	src := NewFlatSource(feat, dim, labels)
 	b.SetBytes(int64(1024 * dim * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SliceHalf(dst, feat, dim, labels, nodeIDs, 1024); err != nil {
+		if err := Slice(dst, src, nodeIDs, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

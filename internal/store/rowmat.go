@@ -115,21 +115,5 @@ func (m *rowMat) copyRow(p *slicing.Pinned, dstRow, src int) {
 	}
 }
 
-// copyRowFrom copies row srcRow of src (same precision and dim by
-// construction) into row dst of m — the wire-free path when a mirror
-// re-placement keeps a row across generations.
-func (m *rowMat) copyRowFrom(dst int, src *rowMat, srcRow int) {
-	dim := m.dim
-	switch m.prec {
-	case half.FP32:
-		copy(m.f[dst*dim:(dst+1)*dim], src.f[srcRow*dim:(srcRow+1)*dim])
-	case half.Int8:
-		copy(m.q[dst*dim:(dst+1)*dim], src.q[srcRow*dim:(srcRow+1)*dim])
-		m.scales[dst] = src.scales[srcRow]
-	default:
-		copy(m.h[dst*dim:(dst+1)*dim], src.h[srcRow*dim:(srcRow+1)*dim])
-	}
-}
-
 // rowBytes returns the host bytes one row occupies at this precision.
 func (m *rowMat) rowBytes() int64 { return m.prec.RowBytes(m.dim) }

@@ -74,8 +74,8 @@ func sameStaged(t *testing.T, name string, got, want *slicing.Pinned, batch int)
 }
 
 // TestFlatMatchesDirectSliceHalf is the refactor regression gate: the Flat
-// store must stage byte-for-byte what the pre-refactor direct SliceHalf
-// path staged.
+// store must stage byte-for-byte what the direct slicing kernel over the
+// flat fp16 array stages.
 func TestFlatMatchesDirectSliceHalf(t *testing.T) {
 	ds := testDS(t)
 	lists, batches := sampleLists(t, ds, 6, 64)
@@ -83,7 +83,7 @@ func TestFlatMatchesDirectSliceHalf(t *testing.T) {
 	staged := gatherAll(t, flat, lists, batches)
 	for i, ids := range lists {
 		want := slicing.NewPinned(len(ids), ds.FeatDim, batches[i])
-		if err := slicing.SliceHalf(want, ds.FeatHalf, ds.FeatDim, ds.Labels, ids, batches[i]); err != nil {
+		if err := slicing.Slice(want, slicing.NewFlatSource(ds.FeatHalf, ds.FeatDim, ds.Labels), ids, batches[i]); err != nil {
 			t.Fatal(err)
 		}
 		sameStaged(t, "flat", staged[i], want, batches[i])

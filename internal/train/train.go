@@ -47,13 +47,6 @@ type Config struct {
 	Executor  ExecutorKind
 	Seed      uint64
 
-	// WeightDecay enables decoupled (AdamW-style) weight decay.
-	WeightDecay float64
-	// ClipNorm, when positive, rescales gradients to this global L2 norm
-	// before each optimizer step.
-	ClipNorm float64
-	// Schedule maps epoch to a learning-rate multiplier (nil = constant).
-	Schedule nn.LRSchedule
 	// Store is the feature-access layer the executors gather batches
 	// through. Nil selects the flat store over the dataset; sharded and
 	// cached stores change transfer accounting, never batch contents.
@@ -231,9 +224,6 @@ func NewReplica(ds *dataset.Dataset, cfg Config, stripe Stripe) (*Trainer, error
 		store:  cfg.Store,
 		pred:   make([]int32, cfg.BatchSize),
 	}
-	if cfg.WeightDecay > 0 {
-		tr.opt.WithWeightDecay(cfg.WeightDecay)
-	}
 	if tr.store == nil {
 		tr.store = store.NewFlat(ds)
 	}
@@ -287,12 +277,9 @@ func (t *Trainer) epochSeed(epoch int) uint64 {
 	return EpochSeed(t.Cfg.Seed, epoch)
 }
 
-// Step applies the optimizer update to the gradients the replica's
-// parameters hold: clipping to ClipNorm when set, then Adam.
+// Step applies the Adam update to the gradients the replica's parameters
+// hold.
 func (t *Trainer) Step() {
-	if t.Cfg.ClipNorm > 0 {
-		nn.ClipGradNorm(t.params, t.Cfg.ClipNorm)
-	}
 	t.opt.Step(t.params)
 }
 
@@ -307,9 +294,6 @@ func (t *Trainer) Step() {
 // returned.
 func (t *Trainer) RunEpoch(epoch int, seeds []int32, update func() error, abort func(error)) (EpochStats, error) {
 	st := EpochStats{Epoch: epoch}
-	if t.Cfg.Schedule != nil {
-		t.opt.SetLRFactor(t.Cfg.Schedule(epoch))
-	}
 	start := time.Now()
 	epochSeed := t.epochSeed(epoch)
 	stream := t.run(seeds, epochSeed)
