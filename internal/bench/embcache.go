@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"salient/internal/cache"
@@ -94,14 +92,17 @@ type EmbCacheResult struct {
 	Agreement float64 `json:"agreement"` // probe answers equal to no-reuse oracle (-1: n/a under churn)
 }
 
-// embCacheResults measures the sweep: one trained model, one Zipf workload
+// EmbCacheResults measures the sweep: one trained model, one Zipf workload
 // (hot set shared between warm and measure phases via the popularity
 // permutation seed), each configuration warmed closed-loop, VIP placement
 // refreshed from the observed traffic, then measured under Poisson
 // open-loop load. The churn rows re-run the reuse comparison on a dynamic
 // graph with live edge updates, where the bounded-staleness window is doing
 // real work (entries age out as versions advance).
-func embCacheResults(o EmbCacheOpts) ([]EmbCacheResult, error) {
+//
+// The rows, encoded as JSON, are the BENCH_embcache.json artifact CI uploads
+// per commit.
+func EmbCacheResults(o EmbCacheOpts) ([]EmbCacheResult, error) {
 	o.defaults()
 	ds, err := dataset.Load(dataset.Arxiv, o.Scale)
 	if err != nil {
@@ -289,7 +290,7 @@ func EmbCacheSweep(o EmbCacheOpts) (Table, error) {
 		Header: []string{"Policy", "EmbCache", "Stale", "Churn", "p50", "p95", "p99",
 			"Shed", "EmbHit", "FeatHit", "Moved", "Agree"},
 	}
-	results, err := embCacheResults(o)
+	results, err := EmbCacheResults(o)
 	if err != nil {
 		return t, err
 	}
@@ -318,16 +319,4 @@ func EmbCacheSweep(o EmbCacheOpts) (Table, error) {
 	t.AddNote("feature cache %.0f%% of N; embedding cache %.0f%% of N; agreement probed on %d hot nodes vs a no-reuse server",
 		100*o.CacheFrac, 100*o.EmbFrac, o.Probe)
 	return t, nil
-}
-
-// EmbCacheSweepJSON writes the sweep's raw rows as JSON (the CI bench
-// artifact).
-func EmbCacheSweepJSON(w io.Writer, o EmbCacheOpts) error {
-	results, err := embCacheResults(o)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

@@ -1,17 +1,13 @@
 package bench
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestEmbCacheSweepSmall runs the full configuration grid at smoke scale
 // and checks the rows that carry the sweep's claims: complete results,
 // meaningful truncation when reuse is on, perfect agreement when reuse is
 // off, and high agreement when it is on.
 func TestEmbCacheSweepSmall(t *testing.T) {
-	results, err := embCacheResults(smallEmbCache())
+	results, err := EmbCacheResults(smallEmbCache())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,27 +44,4 @@ func TestEmbCacheSweepSmall(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestWriteBenchArtifactsEmbCache writes BENCH_embcache.json for the CI
-// bench-smoke job (its -run pattern matches the TestWriteBenchArtifacts
-// prefix). A no-op unless BENCH_ARTIFACT_DIR is set.
-func TestWriteBenchArtifactsEmbCache(t *testing.T) {
-	dir := os.Getenv("BENCH_ARTIFACT_DIR")
-	if dir == "" {
-		t.Skip("BENCH_ARTIFACT_DIR not set")
-	}
-	path := filepath.Join(dir, "BENCH_embcache.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := EmbCacheSweepJSON(f, smallEmbCache()); err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

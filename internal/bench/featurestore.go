@@ -116,7 +116,7 @@ func featureStoreResults(o FeatureStoreOpts) ([]fsResult, error) {
 		name string
 		st   store.FeatureStore
 	}{{name: "flat", st: flat}}
-	shardedRand, err := store.NewSharded(ds, rand)
+	shardedRand, err := store.NewSharded(ds, rand, half.FP16)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func featureStoreResults(o FeatureStoreOpts) ([]fsResult, error) {
 		name string
 		st   store.FeatureStore
 	}{fmt.Sprintf("sharded(P=%d,random)", o.Parts), shardedRand})
-	shardedLDG, err := store.NewSharded(ds, ldg)
+	shardedLDG, err := store.NewSharded(ds, ldg, half.FP16)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func featureStoreResults(o FeatureStoreOpts) ([]fsResult, error) {
 		name string
 		st   store.FeatureStore
 	}{"flat(int8)", store.NewFlatPrec(ds, half.Int8)})
-	shardedInt8, err := store.NewShardedPrec(ds, ldg, half.Int8)
+	shardedInt8, err := store.NewSharded(ds, ldg, half.Int8)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -126,7 +124,7 @@ type FleetResult struct {
 	HighMissFrac float64 `json:"high_miss_frac"` // high-priority deadline misses
 }
 
-// fleetResults measures the sweep: one trained model replicated per
+// FleetResults measures the sweep: one trained model replicated per
 // config, every config warmed closed-loop on the same Zipf hot set (the
 // popularity permutation is shared), VIP placements refreshed from the
 // observed traffic, then measured under Poisson open-loop load. The TOTAL
@@ -134,7 +132,10 @@ type FleetResult struct {
 // answer "does affinity keep partitioned caches hot", not "does more
 // cache help". A final overload row floods a tiny-queue fleet with mixed
 // priorities and deadlines.
-func fleetResults(o FleetOpts) ([]FleetResult, error) {
+//
+// The rows, encoded as JSON, are the BENCH_fleet.json artifact CI uploads
+// per commit.
+func FleetResults(o FleetOpts) ([]FleetResult, error) {
 	o.defaults()
 	ds, err := dataset.Load(dataset.Arxiv, o.Scale)
 	if err != nil {
@@ -353,7 +354,7 @@ func FleetSweep(o FleetOpts) (Table, error) {
 		Header: []string{"Phase", "N", "Routing", "p50", "p95", "p99", "Shed",
 			"VIPHit", "EmbHit", "Combined", "Memo", "Balance", "LowShed", "HiShed", "HiMiss"},
 	}
-	results, err := fleetResults(o)
+	results, err := FleetResults(o)
 	if err != nil {
 		return t, err
 	}
@@ -371,16 +372,4 @@ func FleetSweep(o FleetOpts) (Table, error) {
 	t.AddNote("overload row: %d closed-loop clients, queue %d/replica, %v deadlines, every 4th request high priority",
 		o.OverloadClients, o.OverloadQueue, o.Deadline)
 	return t, nil
-}
-
-// FleetSweepJSON writes the sweep's raw rows as JSON (the CI bench
-// artifact).
-func FleetSweepJSON(w io.Writer, o FleetOpts) error {
-	results, err := fleetResults(o)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

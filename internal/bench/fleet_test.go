@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestFleetSweepSmall runs the replicated-serving grid at smoke scale and
 // checks the rows that carry the sweep's claims: a 1-replica baseline,
@@ -13,7 +9,7 @@ import (
 // row shedding the low priority class ahead of the high one.
 func TestFleetSweepSmall(t *testing.T) {
 	opts := smallFleet()
-	results, err := fleetResults(opts)
+	results, err := FleetResults(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,27 +61,4 @@ func TestFleetSweepSmall(t *testing.T) {
 	if over.HighMissFrac != 0 {
 		t.Fatalf("high-priority deadline misses at smoke scale: %+v", over)
 	}
-}
-
-// TestWriteBenchArtifactsFleet writes BENCH_fleet.json for the CI
-// bench-smoke job (its -run pattern matches the TestWriteBenchArtifacts
-// prefix). A no-op unless BENCH_ARTIFACT_DIR is set.
-func TestWriteBenchArtifactsFleet(t *testing.T) {
-	dir := os.Getenv("BENCH_ARTIFACT_DIR")
-	if dir == "" {
-		t.Skip("BENCH_ARTIFACT_DIR not set")
-	}
-	path := filepath.Join(dir, "BENCH_fleet.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := FleetSweepJSON(f, smallFleet()); err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"salient/internal/dataset"
 	"salient/internal/half"
@@ -59,7 +57,7 @@ type KernelResult struct {
 	AllocsPB  float64 `json:"allocs_per_batch"`
 }
 
-// kernelResults measures, for each storage precision and both pipelines, the
+// KernelResults measures, for each storage precision and both pipelines, the
 // full cost of producing the first GNN layer's inputs (the mean-aggregated
 // neighbor tensor plus the seeds' own rows):
 //
@@ -73,7 +71,10 @@ type KernelResult struct {
 // flat store, so rows differ only in precision (storage bytes) and pipeline
 // (bytes touched), and the fused results are bit-identical to staged ones
 // (pinned by the slicing and train test suites, not re-verified here).
-func kernelResults(o KernelOpts) ([]KernelResult, error) {
+//
+// The rows, encoded as JSON, are the BENCH_kernels.json artifact CI uploads
+// per commit.
+func KernelResults(o KernelOpts) ([]KernelResult, error) {
 	o.defaults()
 	ds, err := dataset.Load(dataset.Arxiv, o.Scale)
 	if err != nil {
@@ -220,7 +221,7 @@ func KernelSweep(o KernelOpts) (Table, error) {
 		Title:  "Gather kernels: precision × pipeline cost of the layer-0 aggregate",
 		Header: []string{"Precision", "Pipeline", "Batches", "us/batch", "KB moved/batch", "Allocs/batch"},
 	}
-	results, err := kernelResults(o)
+	results, err := KernelResults(o)
 	if err != nil {
 		return t, err
 	}
@@ -236,16 +237,4 @@ func KernelSweep(o KernelOpts) (Table, error) {
 		o.Scale, o.BatchSize, o.Fanouts, o.Rounds, kernelReps)
 	t.AddNote("KB moved counts stored row bytes at the cell's precision: fp32 = 4B/scalar, fp16 = 2B, int8 = 1B + 4B/row scale")
 	return t, nil
-}
-
-// KernelSweepJSON runs the sweep and writes the results as a JSON array —
-// the machine-readable BENCH_kernels.json artifact CI uploads per commit.
-func KernelSweepJSON(w io.Writer, o KernelOpts) error {
-	results, err := kernelResults(o)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

@@ -1,10 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"salient/internal/race"
@@ -21,12 +17,18 @@ func smallKernels() KernelOpts {
 // int8 storage moves just over half of fp16's bytes, and the fused kernel
 // runs allocation-free in steady state.
 func TestKernelSweepMatrix(t *testing.T) {
-	results, err := kernelResults(smallKernels())
+	results, err := KernelResults(smallKernels())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(results) != 6 {
+		t.Fatalf("got %d results, want 6", len(results))
+	}
 	cell := map[[2]string]KernelResult{}
 	for _, r := range results {
+		if r.Precision == "" || r.Pipeline == "" || r.Batches == 0 {
+			t.Fatalf("incomplete row: %+v", r)
+		}
 		cell[[2]string{r.Precision, r.Pipeline}] = r
 	}
 	if len(cell) != 6 {
@@ -64,46 +66,4 @@ func TestKernelSweepRenders(t *testing.T) {
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rendered %d rows, want 6", len(tb.Rows))
 	}
-}
-
-func TestKernelSweepJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := KernelSweepJSON(&buf, smallKernels()); err != nil {
-		t.Fatal(err)
-	}
-	var results []KernelResult
-	if err := json.Unmarshal(buf.Bytes(), &results); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("artifact holds %d results, want 6", len(results))
-	}
-	for _, r := range results {
-		if r.Precision == "" || r.Pipeline == "" || r.Batches == 0 {
-			t.Fatalf("incomplete artifact row: %+v", r)
-		}
-	}
-}
-
-// TestWriteBenchArtifacts writes the machine-readable BENCH_*.json files CI
-// uploads per commit. It is a no-op unless BENCH_ARTIFACT_DIR is set (the
-// bench-smoke job sets it), so ordinary test runs never touch the tree.
-func TestWriteBenchArtifacts(t *testing.T) {
-	dir := os.Getenv("BENCH_ARTIFACT_DIR")
-	if dir == "" {
-		t.Skip("BENCH_ARTIFACT_DIR not set")
-	}
-	path := filepath.Join(dir, "BENCH_kernels.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := KernelSweepJSON(f, smallKernels()); err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"salient/internal/dataset"
@@ -72,13 +70,16 @@ type TransportResult struct {
 	WireMsPB10GigE float64 `json:"modeled_10gige_ms_per_batch"`
 }
 
-// transportResults measures the sweep. Every configuration is a full
+// TransportResults measures the sweep. Every configuration is a full
 // dist.Cluster over the same LDG assignment gathering the identical
 // part-local batch set, checksum-verified against a flat store at the same
 // precision before timing — the wire may change cost, never contents. Wire
 // bytes are the transport's own framed accounting (store.Remote charges the
 // actual per-call frame sizes), so loopback and TCP rows must agree exactly.
-func transportResults(o TransportOpts) ([]TransportResult, error) {
+//
+// The rows, encoded as JSON, are the BENCH_transport.json artifact CI uploads
+// per commit.
+func TransportResults(o TransportOpts) ([]TransportResult, error) {
 	o.defaults()
 	ds, err := dataset.Load(dataset.Arxiv, o.Scale)
 	if err != nil {
@@ -247,7 +248,7 @@ func TransportSweep(o TransportOpts) (Table, error) {
 		Title:  "Distributed data plane: loopback vs TCP wire (§8 extension)",
 		Header: []string{"Wire", "Precision", "Mirror", "Gather", "Wire/batch", "10GigE/batch", "Remote", "HitRate"},
 	}
-	results, err := transportResults(o)
+	results, err := TransportResults(o)
 	if err != nil {
 		return t, err
 	}
@@ -268,16 +269,4 @@ func TransportSweep(o TransportOpts) (Table, error) {
 	t.AddNote("Wire/batch is the transport's framed byte accounting — identical for loopback and tcp by construction; mirror warming excluded")
 	t.AddNote("10GigE/batch prices the measured bytes and batched calls on the paper testbed's network (device.Profile.WireTime)")
 	return t, nil
-}
-
-// TransportSweepJSON runs the sweep and writes the results as a JSON array —
-// the machine-readable BENCH_transport.json artifact CI uploads per commit.
-func TransportSweepJSON(w io.Writer, o TransportOpts) error {
-	results, err := transportResults(o)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // smallTransport keeps the sweep cheap for unit tests and CI smoke.
 func smallTransport() TransportOpts {
@@ -21,7 +15,7 @@ func smallTransport() TransportOpts {
 // fraction.
 func TestTransportSweepMatrix(t *testing.T) {
 	o := smallTransport()
-	results, err := transportResults(o)
+	results, err := TransportResults(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +23,14 @@ func TestTransportSweepMatrix(t *testing.T) {
 		prec string
 		frac float64
 	}
+	if len(results) != 8 {
+		t.Fatalf("got %d results, want 8", len(results))
+	}
 	cells := map[string]map[key]TransportResult{"loopback": {}, "tcp": {}}
 	for _, r := range results {
+		if r.Wire == "" || r.Precision == "" || r.Batches == 0 {
+			t.Fatalf("incomplete row: %+v", r)
+		}
 		cells[r.Wire][key{r.Precision, r.CacheFrac}] = r
 	}
 	wantKeys := []key{{"fp16", 0}, {"fp32", 0}, {"int8", 0}, {"fp16", 0.25}}
@@ -85,46 +85,4 @@ func TestTransportSweepRenders(t *testing.T) {
 	if len(tb.Rows) != 8 {
 		t.Fatalf("rendered %d rows, want 8 (2 wires x 4 configs)", len(tb.Rows))
 	}
-}
-
-func TestTransportSweepJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := TransportSweepJSON(&buf, smallTransport()); err != nil {
-		t.Fatal(err)
-	}
-	var results []TransportResult
-	if err := json.Unmarshal(buf.Bytes(), &results); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("artifact holds %d results, want 8", len(results))
-	}
-	for _, r := range results {
-		if r.Wire == "" || r.Precision == "" || r.Batches == 0 {
-			t.Fatalf("incomplete artifact row: %+v", r)
-		}
-	}
-}
-
-// TestWriteBenchArtifactsTransport writes BENCH_transport.json for the CI
-// bench-smoke job (its -run pattern matches the TestWriteBenchArtifacts
-// prefix). A no-op unless BENCH_ARTIFACT_DIR is set.
-func TestWriteBenchArtifactsTransport(t *testing.T) {
-	dir := os.Getenv("BENCH_ARTIFACT_DIR")
-	if dir == "" {
-		t.Skip("BENCH_ARTIFACT_DIR not set")
-	}
-	path := filepath.Join(dir, "BENCH_transport.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := TransportSweepJSON(f, smallTransport()); err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -10,6 +10,7 @@ import (
 	"salient/internal/cache"
 	"salient/internal/dataset"
 	"salient/internal/device"
+	"salient/internal/half"
 	"salient/internal/mfg"
 	"salient/internal/nn"
 	"salient/internal/partition"
@@ -197,7 +198,7 @@ func TestPerReplicaStoresDoNotChangeTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.NewSharded(ds, a)
+	sharded, err := store.NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}

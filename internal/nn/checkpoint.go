@@ -42,68 +42,79 @@ func SaveParams(w io.Writer, params []*Param) error {
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
+// ckptSize is the exact byte length of a checkpoint of params: magic and
+// count, per param its name length, name, shape and weights, then the CRC.
+func ckptSize(params []*Param) int64 {
+	n := int64(len(ckptMagic) + 4)
+	for _, p := range params {
+		n += 4 + int64(len(p.Name)) + 8 + 4*int64(len(p.W.Data))
+	}
+	return n + 4
+}
+
 // LoadParams reads a checkpoint written by SaveParams into params. The
 // parameter list must match the checkpoint exactly (same order, names and
-// shapes) — the standard strict state-dict contract.
+// shapes) — the standard strict state-dict contract. The checkpoint is
+// decoded into staging and copied into params only once every check has
+// passed, so a failed load leaves params untouched.
 func LoadParams(r io.Reader, params []*Param) error {
-	raw, err := io.ReadAll(r)
+	want := ckptSize(params)
+	raw, err := io.ReadAll(io.LimitReader(r, want+1))
 	if err != nil {
 		return fmt.Errorf("nn: read checkpoint: %w", err)
 	}
-	if len(raw) < len(ckptMagic)+4 {
-		return fmt.Errorf("nn: truncated checkpoint (%d bytes)", len(raw))
+	if int64(len(raw)) > want {
+		return fmt.Errorf("nn: checkpoint longer than the %d bytes the model's params need", want)
+	}
+	if int64(len(raw)) < want {
+		return fmt.Errorf("nn: checkpoint is %d bytes, the model's params need %d", len(raw), want)
 	}
 	payload, tail := raw[:len(raw)-4], raw[len(raw)-4:]
 	if stored := binary.LittleEndian.Uint32(tail); stored != crc32.ChecksumIEEE(payload) {
 		return fmt.Errorf("nn: checkpoint checksum mismatch")
 	}
-	br := bytes.NewReader(payload)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return err
-	}
-	if string(magic) != ckptMagic {
+	if magic := payload[:len(ckptMagic)]; string(magic) != ckptMagic {
 		return fmt.Errorf("nn: bad checkpoint magic %q", magic)
 	}
+	br := bytes.NewReader(payload[len(ckptMagic):])
 	var count int32
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return err
+		return fmt.Errorf("nn: read param count: %w", err)
 	}
 	if int(count) != len(params) {
 		return fmt.Errorf("nn: checkpoint has %d params, model has %d", count, len(params))
 	}
-	for _, p := range params {
+	staged := make([][]float32, len(params))
+	for i, p := range params {
 		var nameLen int32
 		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return err
+			return fmt.Errorf("nn: param %q: read name length: %w", p.Name, err)
 		}
-		if nameLen < 0 || nameLen > 1<<10 {
-			return fmt.Errorf("nn: unreasonable name length %d", nameLen)
+		if int(nameLen) != len(p.Name) {
+			return fmt.Errorf("nn: param %q: checkpoint name length %d, want %d", p.Name, nameLen, len(p.Name))
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return err
+			return fmt.Errorf("nn: param %q: read name: %w", p.Name, err)
 		}
 		if string(name) != p.Name {
 			return fmt.Errorf("nn: checkpoint param %q does not match model param %q", name, p.Name)
 		}
-		var rows, cols int32
-		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-			return err
+		var shape [2]int32
+		if err := binary.Read(br, binary.LittleEndian, &shape); err != nil {
+			return fmt.Errorf("nn: param %q: read shape: %w", p.Name, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
-			return err
-		}
-		if int(rows) != p.W.Rows || int(cols) != p.W.Cols {
+		if int(shape[0]) != p.W.Rows || int(shape[1]) != p.W.Cols {
 			return fmt.Errorf("nn: param %q shape %dx%d does not match model %dx%d",
-				p.Name, rows, cols, p.W.Rows, p.W.Cols)
+				p.Name, shape[0], shape[1], p.W.Rows, p.W.Cols)
 		}
-		if err := binary.Read(br, binary.LittleEndian, p.W.Data); err != nil {
-			return err
+		staged[i] = make([]float32, len(p.W.Data))
+		if err := binary.Read(br, binary.LittleEndian, staged[i]); err != nil {
+			return fmt.Errorf("nn: param %q: read weights: %w", p.Name, err)
 		}
 	}
-	if br.Len() != 0 {
-		return fmt.Errorf("nn: %d trailing bytes in checkpoint", br.Len())
+	for i, p := range params {
+		copy(p.W.Data, staged[i])
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -88,4 +91,105 @@ func TestCheckpointFile(t *testing.T) {
 	if err := LoadParamsFile(filepath.Join(t.TempDir(), "nope.ckpt"), b.Params()); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// withCRC returns b with its trailing checksum recomputed, so mutated
+// checkpoints reach the parser instead of stopping at the CRC.
+func withCRC(b []byte) []byte {
+	b = append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// savedCheckpoint returns a's checkpoint, plus two valid-CRC corruptions of
+// it: one with 4 extra payload bytes, and one with the last param cut by 8
+// bytes.
+func savedCheckpoint(t testing.TB, a Model) (saved, trailing, truncated []byte) {
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, a.Params()); err != nil {
+		t.Fatal(err)
+	}
+	saved = buf.Bytes()
+	payload := saved[:len(saved)-4]
+	trailing = withCRC(append(append([]byte(nil), payload...), 1, 2, 3, 4, 0, 0, 0, 0))
+	truncated = withCRC(append(append([]byte(nil), payload[:len(payload)-8]...), 0, 0, 0, 0))
+	return saved, trailing, truncated
+}
+
+// paramBits snapshots every weight's bit pattern.
+func paramBits(params []*Param) [][]uint32 {
+	out := make([][]uint32, len(params))
+	for i, p := range params {
+		out[i] = make([]uint32, len(p.W.Data))
+		for j, v := range p.W.Data {
+			out[i][j] = math.Float32bits(v)
+		}
+	}
+	return out
+}
+
+// assertUntouched fails unless params hold exactly the bits in before.
+func assertUntouched(t *testing.T, params []*Param, before [][]uint32) {
+	t.Helper()
+	for i, bits := range paramBits(params) {
+		for j, b := range bits {
+			if b != before[i][j] {
+				t.Fatalf("failed load changed param %s[%d]", params[i].Name, j)
+			}
+		}
+	}
+}
+
+func TestLoadParamsTrailingBytesLeavesModelUntouched(t *testing.T) {
+	a, b := twoModels()
+	_, trailing, _ := savedCheckpoint(t, a)
+	before := paramBits(b.Params())
+	if err := LoadParams(bytes.NewReader(trailing), b.Params()); err == nil {
+		t.Fatal("checkpoint with trailing bytes accepted")
+	}
+	assertUntouched(t, b.Params(), before)
+}
+
+func TestLoadParamsTruncatedLeavesModelUntouched(t *testing.T) {
+	a, b := twoModels()
+	_, _, truncated := savedCheckpoint(t, a)
+	before := paramBits(b.Params())
+	if err := LoadParams(bytes.NewReader(truncated), b.Params()); err == nil {
+		t.Fatal("truncated checkpoint accepted")
+	}
+	assertUntouched(t, b.Params(), before)
+}
+
+// FuzzLoadParams feeds mutated checkpoints to the loader. The harness
+// recomputes the trailing checksum, so mutations reach the parser. A load
+// either succeeds and saves back to the same bytes, or fails and leaves
+// every param bit-identical to its value before the call.
+func FuzzLoadParams(f *testing.F) {
+	// A tiny model keeps inputs short, so the fuzzer spends its time
+	// mutating rather than minimizing.
+	tiny := func(seed uint64) Model {
+		return NewGraphSAGE(ModelConfig{In: 2, Hidden: 2, Out: 2, Layers: 2, Seed: seed})
+	}
+	saved, trailing, truncated := savedCheckpoint(f, tiny(1))
+	f.Add(saved)
+	f.Add(trailing)
+	f.Add(truncated)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) >= 4 {
+			in = withCRC(in)
+		}
+		b := tiny(99)
+		before := paramBits(b.Params())
+		if err := LoadParams(bytes.NewReader(in), b.Params()); err != nil {
+			assertUntouched(t, b.Params(), before)
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveParams(&out, b.Params()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatal("loaded checkpoint does not save back to the same bytes")
+		}
+	})
 }

@@ -375,8 +375,8 @@ func viewerFor(ds *dataset.Dataset, opts Options) graph.Viewer {
 // MaxRowsEstimate bounds the expanded-neighborhood row count of one batch:
 // batch × Π(fanout+1), capped at the graph size n. It is how the executors
 // pre-size their pinned staging buffers, exported so other consumers of the
-// kernels (benchmarks, examples) pre-size identically instead of copying
-// the formula.
+// kernels (the bench sweeps and perfbench) pre-size identically instead of
+// copying the formula.
 func MaxRowsEstimate(batch int, fanouts []int, n int) int {
 	est := batch
 	for _, f := range fanouts {

@@ -7,6 +7,7 @@ import (
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
+	"salient/internal/half"
 	"salient/internal/partition"
 	"salient/internal/sampler"
 	"salient/internal/slicing"
@@ -104,7 +105,7 @@ func TestShardedStoreBatchesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.NewSharded(ds, a)
+	sharded, err := store.NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func precStores(t testing.TB, ds *dataset.Dataset, prec half.Precision) map[stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedPrec(ds, a, prec)
+	sharded, err := NewSharded(ds, a, prec)
 	if err != nil {
 		t.Fatal(err)
 	}

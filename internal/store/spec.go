@@ -73,7 +73,7 @@ func Build(ds *dataset.Dataset, spec Spec) (FeatureStore, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewShardedPrec(ds, a, spec.Precision)
+		return NewSharded(ds, a, spec.Precision)
 	}
 	var base FeatureStore
 	var err error

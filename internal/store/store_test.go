@@ -6,6 +6,7 @@ import (
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
+	"salient/internal/half"
 	"salient/internal/partition"
 	"salient/internal/rng"
 	"salient/internal/sampler"
@@ -102,7 +103,7 @@ func TestAllStoresStageIdenticalBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(ds, ldg)
+	sharded, err := NewSharded(ds, ldg, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestGatherRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(ds, ldg)
+	sharded, err := NewSharded(ds, ldg, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestLDGPlacementCutsCrossShardTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	remoteFrac := func(a *partition.Assignment) float64 {
-		st, err := NewSharded(ds, a)
+		st, err := NewSharded(ds, a, half.FP16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +409,7 @@ func TestCachedShardedComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(ds, a)
+	sharded, err := NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
+	"salient/internal/half"
 	"salient/internal/partition"
 	"salient/internal/store"
 )
@@ -146,7 +147,7 @@ func TestStoreChoiceDoesNotChangeTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.NewSharded(ds, a)
+	sharded, err := store.NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
