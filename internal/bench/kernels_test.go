@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"testing"
 
 	"salient/internal/race"
@@ -21,14 +22,8 @@ func TestKernelSweepMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 6 {
-		t.Fatalf("got %d results, want 6", len(results))
-	}
 	cell := map[[2]string]KernelResult{}
 	for _, r := range results {
-		if r.Precision == "" || r.Pipeline == "" || r.Batches == 0 {
-			t.Fatalf("incomplete row: %+v", r)
-		}
 		cell[[2]string{r.Precision, r.Pipeline}] = r
 	}
 	if len(cell) != 6 {
@@ -65,5 +60,30 @@ func TestKernelSweepRenders(t *testing.T) {
 	}
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rendered %d rows, want 6", len(tb.Rows))
+	}
+}
+
+// TestKernelSweepJSON checks that the rows the BENCH_kernels.json artifact
+// is written from survive a JSON round trip complete.
+func TestKernelSweepJSON(t *testing.T) {
+	rows, err := KernelResults(smallKernels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []KernelResult
+	if err := json.Unmarshal(data, &results); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if len(results) != 6 {
+		t.Fatalf("artifact holds %d results, want 6", len(results))
+	}
+	for _, r := range results {
+		if r.Precision == "" || r.Pipeline == "" || r.Batches == 0 {
+			t.Fatalf("incomplete artifact row: %+v", r)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // smallTransport keeps the sweep cheap for unit tests and CI smoke.
 func smallTransport() TransportOpts {
@@ -23,14 +26,8 @@ func TestTransportSweepMatrix(t *testing.T) {
 		prec string
 		frac float64
 	}
-	if len(results) != 8 {
-		t.Fatalf("got %d results, want 8", len(results))
-	}
 	cells := map[string]map[key]TransportResult{"loopback": {}, "tcp": {}}
 	for _, r := range results {
-		if r.Wire == "" || r.Precision == "" || r.Batches == 0 {
-			t.Fatalf("incomplete row: %+v", r)
-		}
 		cells[r.Wire][key{r.Precision, r.CacheFrac}] = r
 	}
 	wantKeys := []key{{"fp16", 0}, {"fp32", 0}, {"int8", 0}, {"fp16", 0.25}}
@@ -84,5 +81,30 @@ func TestTransportSweepRenders(t *testing.T) {
 	}
 	if len(tb.Rows) != 8 {
 		t.Fatalf("rendered %d rows, want 8 (2 wires x 4 configs)", len(tb.Rows))
+	}
+}
+
+// TestTransportSweepJSON checks that the rows the BENCH_transport.json
+// artifact is written from survive a JSON round trip complete.
+func TestTransportSweepJSON(t *testing.T) {
+	rows, err := TransportResults(smallTransport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []TransportResult
+	if err := json.Unmarshal(data, &results); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if len(results) != 8 {
+		t.Fatalf("artifact holds %d results, want 8", len(results))
+	}
+	for _, r := range results {
+		if r.Wire == "" || r.Precision == "" || r.Batches == 0 {
+			t.Fatalf("incomplete artifact row: %+v", r)
+		}
 	}
 }
