@@ -72,7 +72,10 @@ func BenchmarkAblationSliceKernel(b *testing.B) {
 	m := sm.Sample(rng.New(1), ds.Train[:512])
 	nodeIDs := append([]int32(nil), m.NodeIDs...)
 	dst := slicing.NewPinned(len(nodeIDs), ds.FeatDim, 512)
-	src := slicing.NewFlatSource(ds.FeatHalf, ds.FeatDim, ds.Labels)
+	src := &slicing.Source{
+		Blocks: []*half.Rows{{Prec: half.FP16, Dim: ds.FeatDim, N: int(ds.G.N), H: ds.FeatHalf}},
+		Labels: ds.Labels,
+	}
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

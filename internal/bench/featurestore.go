@@ -185,7 +185,7 @@ func featureStoreResults(o FeatureStoreOpts) ([]fsResult, error) {
 
 	var out []fsResult
 	for _, cfg := range configs {
-		prec := store.PrecisionOf(cfg.st)
+		prec := cfg.st.Precision()
 		wantSums, err := refFor(prec)
 		if err != nil {
 			return nil, err
@@ -237,18 +237,18 @@ func stagedChecksum(buf *slicing.Pinned, batch int) uint64 {
 	}
 	switch buf.Prec {
 	case half.FP32:
-		for _, f := range buf.Feat32[:buf.Rows*buf.Dim] {
+		for _, f := range buf.F[:buf.N*buf.Dim] {
 			mix(uint64(math.Float32bits(f)))
 		}
 	case half.Int8:
-		for _, q := range buf.Feat8[:buf.Rows*buf.Dim] {
+		for _, q := range buf.Q[:buf.N*buf.Dim] {
 			mix(uint64(uint8(q)))
 		}
-		for _, s := range buf.Scales[:buf.Rows] {
+		for _, s := range buf.Scales[:buf.N] {
 			mix(uint64(math.Float32bits(s)))
 		}
 	default:
-		for _, f := range buf.Feat[:buf.Rows*buf.Dim] {
+		for _, f := range buf.H[:buf.N*buf.Dim] {
 			mix(uint64(uint16(f)))
 		}
 	}

@@ -403,17 +403,7 @@ func (t *Trainer) coordinate(nb, steps int, arrive <-chan arrival, bars []barrie
 }
 
 // Fit executes n epochs, stopping at the first preparation failure.
-func (t *Trainer) Fit(epochs int) ([]TrainStats, error) {
-	out := make([]TrainStats, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		s, err := t.TrainEpoch(e)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
+func (t *Trainer) Fit(epochs int) ([]TrainStats, error) { return train.Fit(epochs, t.TrainEpoch) }
 
 // Union is the serial single-replica oracle for Trainer: one train.Trainer
 // runs the identical union batch schedule on one goroutine, and its update
@@ -491,14 +481,4 @@ func (u *Union) step() {
 }
 
 // Fit runs n epochs of the union schedule.
-func (u *Union) Fit(epochs int) ([]train.EpochStats, error) {
-	out := make([]train.EpochStats, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		s, err := u.TrainEpoch(e)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
+func (u *Union) Fit(epochs int) ([]train.EpochStats, error) { return train.Fit(epochs, u.TrainEpoch) }

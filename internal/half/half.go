@@ -3,8 +3,8 @@
 // SALIENT stores node feature matrices in half precision in host memory to
 // halve memory-bandwidth pressure during slicing and CPU-to-GPU transfer
 // (paper §3, baseline optimization iii); compute still runs in float32.
-// This package provides the conversions and bulk row codecs used by the
-// slicing kernels.
+// This package provides the conversions, the bulk row codecs, and Rows, the
+// one row-major layout every holder of feature rows shares.
 package half
 
 import "math"

@@ -77,15 +77,13 @@ type Fused struct {
 	// float32 rows. Kernel-internal; never transferred. The direct float32
 	// path leaves it nil.
 	scratch *tensor.Dense
-	// stageH/stageQ are storage-width staging strips for the widen phase:
+	// stage is the storage-width staging strip for the widen phase:
 	// scattered master rows are first copied here, then the whole hot strip
 	// converts to float32 in one bulk pass. Splitting the scattered loads
 	// from the branchy per-scalar conversion lets the copy loop keep many
 	// cache misses in flight, where converting at the scattered rows would
-	// serialize on one miss per row. Kernel-internal, recycled, and only the
-	// strip matching the store's precision is ever grown.
-	stageH []half.Float16
-	stageQ []int8
+	// serialize on one miss per row. Kernel-internal and recycled.
+	stage half.Rows
 }
 
 // Ensure shapes the staging tensors and label buffer for a batch, recycling
@@ -104,26 +102,15 @@ func (f *Fused) Ensure(nDst, dim, batch int) {
 }
 
 // ensureScratch shapes the generic path's widened working set and the
-// precision-matched staging strip, recycling both across batches. Growth
-// happens here — before any striping — so concurrent widen stripes only ever
-// write disjoint ranges of fixed-size buffers. The direct flat-source kernels
-// never touch either, so those stores carry no working-set footprint at all.
+// staging strip, recycling both across batches. Growth happens here —
+// before any striping — so concurrent widen stripes only ever write
+// disjoint ranges of fixed-size buffers. The direct flat-float32 kernel
+// never touches either, so that store carries no working-set footprint.
 //
 //salient:noalloc
-func (f *Fused) ensureScratch(src Source, nSrc int) {
+func (f *Fused) ensureScratch(src *Source, nSrc int) {
 	f.scratch = tensor.Reshape(f.scratch, nSrc, f.Dim)
-	switch src.(type) {
-	case flatSource:
-		if cap(f.stageH) < nSrc*f.Dim {
-			f.stageH = make([]half.Float16, nSrc*f.Dim)
-		}
-		f.stageH = f.stageH[:nSrc*f.Dim]
-	case int8Source:
-		if cap(f.stageQ) < nSrc*f.Dim {
-			f.stageQ = make([]int8, nSrc*f.Dim)
-		}
-		f.stageQ = f.stageQ[:nSrc*f.Dim]
-	}
+	f.stage.Ensure(nSrc, f.Dim, src.Precision())
 }
 
 // Bytes returns the host-to-device payload of the fused staging: the two
@@ -148,7 +135,7 @@ func (f *Fused) Bytes() int64 {
 // way.
 //
 //salient:noalloc
-func GatherAggregate(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) error {
+func GatherAggregate(dst *Fused, src *Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) error {
 	if err := checkFused(src, nodeIDs, blk, batch, op); err != nil {
 		return err
 	}
@@ -160,7 +147,7 @@ func GatherAggregate(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, ba
 		fuseRange(dst, blk, op, 0, int(blk.NumDst))
 	}
 	for i := 0; i < batch; i++ {
-		dst.Labels[i] = src.Label(nodeIDs[i])
+		dst.Labels[i] = src.Labels[nodeIDs[i]]
 	}
 	return nil
 }
@@ -172,7 +159,7 @@ func GatherAggregate(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, ba
 // source rows into the working set, then aggregate the destination range.
 // Each destination's neighbor accumulation stays whole and in edge order
 // inside one stripe, so the result is bit-identical to the serial kernel.
-func GatherAggregateStriped(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp, nWorkers int, run func(stripes []func())) error {
+func GatherAggregateStriped(dst *Fused, src *Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp, nWorkers int, run func(stripes []func())) error {
 	if err := checkFused(src, nodeIDs, blk, batch, op); err != nil {
 		return err
 	}
@@ -207,14 +194,14 @@ func GatherAggregateStriped(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Bl
 		})
 	}
 	for i := 0; i < batch; i++ {
-		dst.Labels[i] = src.Label(nodeIDs[i])
+		dst.Labels[i] = src.Labels[nodeIDs[i]]
 	}
 	return nil
 }
 
 // checkFused validates the fused-gather arguments: the block must be the
 // MFG's outermost (its sources index nodeIDs), and op must aggregate.
-func checkFused(src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) error {
+func checkFused(src *Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) error {
 	if op != AggMean && op != AggSum {
 		return fmt.Errorf("slicing: fused gather needs AggMean or AggSum, got %v", op)
 	}
@@ -230,13 +217,6 @@ func checkFused(src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp
 	return nil
 }
 
-// widenRange decodes stored rows [lo,hi) of nodeIDs into the float32
-// working set — each stored row is read exactly once, through one accessor
-// call per row with the precision dispatch hoisted out of the loop. The
-// widening expressions are the ones DecodeFeatures uses (exact fp16→f32
-// widening; int8 as float32(q)·scale via DequantizeRow), so the working-set
-// values are bit-identical to the staged path's decoded tensor.
-//
 // directLayout reports whether src is a layout the fused kernel aggregates
 // straight out of, with no widened working set: only the flat float32
 // layout qualifies. Its rows need no per-scalar conversion, so re-reading a
@@ -244,9 +224,8 @@ func checkFused(src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp
 // source deduplication (each unique row feeds many edges) would multiply
 // the widening work by the average in-degree, so those layouts widen each
 // unique row once into scratch instead.
-func directLayout(src Source) bool {
-	_, ok := src.(flat32Source)
-	return ok
+func directLayout(src *Source) bool {
+	return src.Part == nil && src.Precision() == half.FP32
 }
 
 // fuseDirect computes aggregate and x_target rows for destinations [lo,hi)
@@ -258,13 +237,12 @@ func directLayout(src Source) bool {
 // (having written nothing) when src is not the flat float32 layout.
 //
 //salient:noalloc
-func fuseDirect(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, op AggOp, lo, hi int) bool {
-	s, ok := src.(flat32Source)
-	if !ok {
+func fuseDirect(dst *Fused, src *Source, nodeIDs []int32, blk *mfg.Block, op AggOp, lo, hi int) bool {
+	if !directLayout(src) {
 		return false
 	}
 	aggD, xtD := dst.Agg.Data, dst.XT.Data
-	feat, dim := s.feat, s.dim
+	feat, dim := src.Blocks[0].F, src.Dim()
 	for v := lo; v < hi; v++ {
 		r := int(nodeIDs[v]) * dim
 		copy(xtD[v*dim:(v+1)*dim], feat[r:r+dim])
@@ -313,53 +291,19 @@ func fuseDirect(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, op AggO
 	return true
 }
 
+// widenRange decodes stored rows [lo,hi) of nodeIDs into the float32
+// working set: each stored row is read exactly once, copied bitwise into
+// the staging strip, and the strip then widens in one bulk pass through
+// half.Rows.Widen — the widening DecodeFeatures uses, so the working-set
+// values are bit-identical to the staged path's decoded tensor.
+//
 //salient:noalloc
-func widenRange(dst *Fused, src Source, nodeIDs []int32, lo, hi int) {
-	x := dst.scratch
-	// Devirtualize this package's own flat layouts: bulk row copies into the
-	// staging strip, then one bulk conversion over the hot bytes — instead of
-	// an interface dispatch per row. Any other Source takes the generic
-	// accessor path below.
-	switch s := src.(type) {
-	case flatSource:
-		feat, dim := s.feat, s.dim
-		stage := dst.stageH
-		for i := lo; i < hi; i++ {
-			r := int(nodeIDs[i]) * dim
-			copy(stage[i*dim:(i+1)*dim], feat[r:r+dim])
-		}
-		half.DecodeSlice(x.Data[lo*dim:hi*dim], stage[lo*dim:hi*dim])
-		return
-	case int8Source:
-		feat, scales, dim := s.feat, s.scales, s.dim
-		stage := dst.stageQ
-		for i := lo; i < hi; i++ {
-			r := int(nodeIDs[i]) * dim
-			copy(stage[i*dim:(i+1)*dim], feat[r:r+dim])
-		}
-		for i := lo; i < hi; i++ {
-			half.DequantizeRow(x.Data[i*dim:(i+1)*dim], stage[i*dim:(i+1)*dim], scales[nodeIDs[i]])
-		}
-		return
+func widenRange(dst *Fused, src *Source, nodeIDs []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b, r := src.locate(nodeIDs[i])
+		dst.stage.CopyRow(i, b, r)
 	}
-	switch src.Precision() {
-	case half.FP32:
-		for i := lo; i < hi; i++ {
-			copy(x.Row(i), src.Row32(nodeIDs[i]))
-		}
-	case half.Int8:
-		for i := lo; i < hi; i++ {
-			q, scale := src.Row8(nodeIDs[i])
-			half.DequantizeRow(x.Row(i), q, scale)
-		}
-	default:
-		for i := lo; i < hi; i++ {
-			xrow := x.Row(i)
-			for j, h := range src.Row(nodeIDs[i]) {
-				xrow[j] = h.Float32()
-			}
-		}
-	}
+	dst.stage.Widen(dst.scratch.Data[lo*dst.Dim:hi*dst.Dim], lo, hi)
 }
 
 // fuseRange computes aggregate and x_target rows for destinations [lo,hi)

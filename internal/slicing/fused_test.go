@@ -36,7 +36,7 @@ func makeBlock(t testing.TB, seed uint64, nDst, nSrc, fanout int) *mfg.Block {
 
 // sources builds one Source per storage precision over the same fp16 master
 // rows, mirroring how the stores derive fp32/int8 layouts.
-func sources(t testing.TB, n, dim int) map[half.Precision]Source {
+func sources(t testing.TB, n, dim int) map[half.Precision]*Source {
 	t.Helper()
 	feat, labels := makeFeatures(t, n, dim)
 	f32 := make([]float32, n*dim)
@@ -46,23 +46,23 @@ func sources(t testing.TB, n, dim int) map[half.Precision]Source {
 	for v := 0; v < n; v++ {
 		scales[v] = half.QuantizeRow(q[v*dim:(v+1)*dim], f32[v*dim:(v+1)*dim])
 	}
-	return map[half.Precision]Source{
-		half.FP16: NewFlatSource(feat, dim, labels),
-		half.FP32: NewFloat32Source(f32, dim, labels),
-		half.Int8: NewInt8Source(q, scales, dim, labels),
+	return map[half.Precision]*Source{
+		half.FP16: flatSource(feat, dim, labels),
+		half.FP32: {Blocks: []*half.Rows{{Prec: half.FP32, Dim: dim, N: n, F: f32}}, Labels: labels},
+		half.Int8: {Blocks: []*half.Rows{{Prec: half.Int8, Dim: dim, N: n, Q: q, Scales: scales}}, Labels: labels},
 	}
 }
 
 // stagedOracle runs the three-pass reference path: Slice the storage rows
 // into a Pinned, DecodeFeatures to float32, then aggregate in block edge
 // order exactly as nn's aggregateMeanBlock/aggregateSumBlock do.
-func stagedOracle(t testing.TB, src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) (agg, xt *tensor.Dense, labels []int32) {
+func stagedOracle(t testing.TB, src *Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) (agg, xt *tensor.Dense, labels []int32) {
 	t.Helper()
 	p := NewPinned(1, src.Dim(), 1)
 	if err := Slice(p, src, nodeIDs, batch); err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(p.Rows, p.Dim)
+	x := tensor.New(p.N, p.Dim)
 	DecodeFeatures(x, p)
 	dim := src.Dim()
 	agg = tensor.New(int(blk.NumDst), dim)

@@ -22,20 +22,26 @@ func makeFeatures(t testing.TB, n, dim int) ([]half.Float16, []int32) {
 	return half.EncodeSlice(make([]half.Float16, len(f32)), f32), labels
 }
 
+// flatSource wraps a flat row-major fp16 matrix and its labels as a Source.
+func flatSource(feat []half.Float16, dim int, labels []int32) *Source {
+	rows := &half.Rows{Prec: half.FP16, Dim: dim, N: len(feat) / dim, H: feat}
+	return &Source{Blocks: []*half.Rows{rows}, Labels: labels}
+}
+
 func TestSliceHalf(t *testing.T) {
 	const n, dim = 100, 8
 	feat, labels := makeFeatures(t, n, dim)
 	nodeIDs := []int32{5, 99, 0, 42, 5}
 	dst := NewPinned(2, dim, 2) // deliberately small: must grow
-	if err := Slice(dst, NewFlatSource(feat, dim, labels), nodeIDs, 3); err != nil {
+	if err := Slice(dst, flatSource(feat, dim, labels), nodeIDs, 3); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Rows != len(nodeIDs) || dst.Dim != dim {
-		t.Fatalf("staged shape %dx%d", dst.Rows, dst.Dim)
+	if dst.N != len(nodeIDs) || dst.Dim != dim {
+		t.Fatalf("staged shape %dx%d", dst.N, dst.Dim)
 	}
 	for i, id := range nodeIDs {
 		for j := 0; j < dim; j++ {
-			if dst.Feat[i*dim+j] != feat[int(id)*dim+j] {
+			if dst.H[i*dim+j] != feat[int(id)*dim+j] {
 				t.Fatalf("row %d col %d mismatch", i, j)
 			}
 		}
@@ -50,7 +56,7 @@ func TestSliceHalf(t *testing.T) {
 func TestSliceHalfBatchTooLarge(t *testing.T) {
 	feat, labels := makeFeatures(t, 10, 4)
 	dst := NewPinned(4, 4, 4)
-	if err := Slice(dst, NewFlatSource(feat, 4, labels), []int32{1, 2}, 3); err == nil {
+	if err := Slice(dst, flatSource(feat, 4, labels), []int32{1, 2}, 3); err == nil {
 		t.Fatal("batch > nodes accepted")
 	}
 }
@@ -64,12 +70,12 @@ func TestSliceHalfStripedMatchesSerial(t *testing.T) {
 		nodeIDs[i] = int32(r.Intn(n))
 	}
 	serial := NewPinned(1, dim, 1)
-	if err := Slice(serial, NewFlatSource(feat, dim, labels), nodeIDs, 10); err != nil {
+	if err := Slice(serial, flatSource(feat, dim, labels), nodeIDs, 10); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8, 100} {
 		striped := NewPinned(1, dim, 1)
-		err := SliceStriped(striped, NewFlatSource(feat, dim, labels), nodeIDs, 10, workers,
+		err := SliceStriped(striped, flatSource(feat, dim, labels), nodeIDs, 10, workers,
 			func(stripes []func()) {
 				for _, s := range stripes {
 					s()
@@ -78,8 +84,8 @@ func TestSliceHalfStripedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range serial.Feat {
-			if striped.Feat[i] != serial.Feat[i] {
+		for i := range serial.H {
+			if striped.H[i] != serial.H[i] {
 				t.Fatalf("workers=%d: feature %d differs", workers, i)
 			}
 		}
@@ -96,7 +102,7 @@ func TestDecodeFeatures(t *testing.T) {
 	feat, labels := makeFeatures(t, n, dim)
 	nodeIDs := []int32{3, 9, 14}
 	p := NewPinned(3, dim, 3)
-	if err := Slice(p, NewFlatSource(feat, dim, labels), nodeIDs, 3); err != nil {
+	if err := Slice(p, flatSource(feat, dim, labels), nodeIDs, 3); err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.New(3, dim)
@@ -113,7 +119,7 @@ func TestDecodeFeatures(t *testing.T) {
 
 func TestDecodeShapePanics(t *testing.T) {
 	p := NewPinned(3, 4, 3)
-	p.Rows, p.Dim = 3, 4
+	p.N, p.Dim = 3, 4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch did not panic")
@@ -125,7 +131,7 @@ func TestDecodeShapePanics(t *testing.T) {
 func TestPinnedBytes(t *testing.T) {
 	feat, labels := makeFeatures(t, 10, 4)
 	p := NewPinned(1, 4, 1)
-	if err := Slice(p, NewFlatSource(feat, 4, labels), []int32{1, 2, 3}, 2); err != nil {
+	if err := Slice(p, flatSource(feat, 4, labels), []int32{1, 2, 3}, 2); err != nil {
 		t.Fatal(err)
 	}
 	// 3 rows × 4 cols × 2B + 2 labels × 4B = 32.
@@ -194,7 +200,7 @@ func TestTryGetExhaustionAndRecovery(t *testing.T) {
 
 func TestDecodeShapePanicsOnColumnMismatch(t *testing.T) {
 	p := NewPinned(3, 4, 3)
-	p.Rows, p.Dim = 3, 4
+	p.N, p.Dim = 3, 4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("column mismatch did not panic")
@@ -203,33 +209,25 @@ func TestDecodeShapePanicsOnColumnMismatch(t *testing.T) {
 	DecodeFeatures(tensor.New(3, 5), p)
 }
 
-// stridedSource stores rows reversed to prove the kernels only ever go
-// through the Source interface, never assume the flat layout.
-type stridedSource struct {
-	feat   []half.Float16
-	dim    int
-	n      int
-	labels []int32
-}
-
-func (s stridedSource) Dim() int                  { return s.dim }
-func (s stridedSource) Precision() half.Precision { return half.FP16 }
-func (s stridedSource) Row(id int32) []half.Float16 {
-	r := s.n - 1 - int(id)
-	return s.feat[r*s.dim : (r+1)*s.dim]
-}
-func (s stridedSource) Row32(id int32) []float32        { return nil }
-func (s stridedSource) Row8(id int32) ([]int8, float32) { return nil, 0 }
-func (s stridedSource) Label(id int32) int32            { return s.labels[id] + 100 }
-
 func TestSliceHonorsCustomSource(t *testing.T) {
 	const n, dim = 50, 4
 	feat, labels := makeFeatures(t, n, dim)
+	// Rows stored reversed behind a reversed Local map, and labels offset,
+	// prove the kernels only ever go through the Source's indirection,
+	// never assume the flat layout.
 	rev := make([]half.Float16, len(feat))
+	part, local, shifted := make([]int32, n), make([]int32, n), make([]int32, n)
 	for v := 0; v < n; v++ {
 		copy(rev[(n-1-v)*dim:(n-v)*dim], feat[v*dim:(v+1)*dim])
+		local[v] = int32(n - 1 - v)
+		shifted[v] = labels[v] + 100
 	}
-	src := stridedSource{feat: rev, dim: dim, n: n, labels: labels}
+	src := &Source{
+		Blocks: []*half.Rows{{Prec: half.FP16, Dim: dim, N: n, H: rev}},
+		Part:   part,
+		Local:  local,
+		Labels: shifted,
+	}
 	nodeIDs := []int32{7, 0, 49, 7}
 	serial := NewPinned(1, dim, 1)
 	if err := Slice(serial, src, nodeIDs, 2); err != nil {
@@ -237,7 +235,7 @@ func TestSliceHonorsCustomSource(t *testing.T) {
 	}
 	for i, id := range nodeIDs {
 		for j := 0; j < dim; j++ {
-			if serial.Feat[i*dim+j] != feat[int(id)*dim+j] {
+			if serial.H[i*dim+j] != feat[int(id)*dim+j] {
 				t.Fatalf("row %d col %d not read through the source", i, j)
 			}
 		}
@@ -256,8 +254,8 @@ func TestSliceHonorsCustomSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial.Feat {
-		if striped.Feat[i] != serial.Feat[i] {
+	for i := range serial.H {
+		if striped.H[i] != serial.H[i] {
 			t.Fatalf("striped kernel diverged at scalar %d", i)
 		}
 	}
@@ -272,7 +270,7 @@ func BenchmarkSliceHalf1024x128(b *testing.B) {
 		nodeIDs[i] = int32(r.Intn(n))
 	}
 	dst := NewPinned(1024, dim, 1024)
-	src := NewFlatSource(feat, dim, labels)
+	src := flatSource(feat, dim, labels)
 	b.SetBytes(int64(1024 * dim * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -49,7 +49,7 @@ func NewCached(inner FeatureStore, g graph.Topology, rows int, policy cache.Poli
 func (c *Cached) Dim() int { return c.inner.Dim() }
 
 // Precision returns the inner store's storage precision.
-func (c *Cached) Precision() half.Precision { return PrecisionOf(c.inner) }
+func (c *Cached) Precision() half.Precision { return c.inner.Precision() }
 
 // NumNodes returns the number of feature rows held.
 func (c *Cached) NumNodes() int { return c.inner.NumNodes() }
@@ -134,7 +134,7 @@ func (c *Cached) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.B
 // fetches — a resident row costs no network no matter where its master
 // copy lives. Row width follows the inner store's storage precision.
 func (c *Cached) settle(nodeIDs []int32) {
-	rowBytes := PrecisionOf(c.inner).RowBytes(c.inner.Dim())
+	rowBytes := c.inner.Precision().RowBytes(c.inner.Dim())
 	sh, _ := c.inner.(*Sharded)
 	var home int32
 	if sh != nil && len(nodeIDs) > 0 {

@@ -22,15 +22,13 @@ type Flat struct {
 	dim  int
 	prec half.Precision
 
-	// srcMu orders appends against concurrent gathers: Gather reads src/n
-	// under the read lock for the duration of the row copies, AppendRows
-	// swaps in the grown arrays under the write lock. The arrays themselves
-	// are append-only, so readers never observe a partial row.
-	srcMu  sync.RWMutex
-	src    slicing.Source
-	n      int
-	mat    *rowMat
-	labels []int32
+	// srcMu orders appends against concurrent gathers: Gather takes the
+	// source pointer under the read lock, AppendRows swaps in a new source
+	// over freshly copied arrays under the write lock. Arrays a source
+	// points at are never written again, so a gather holding an older
+	// source reads consistent rows without the lock.
+	srcMu sync.RWMutex
+	src   *slicing.Source // one block: node id is row id
 
 	mu    sync.Mutex
 	stats Stats
@@ -47,14 +45,11 @@ func NewFlat(ds *dataset.Dataset) *Flat { return NewFlatPrec(ds, half.FP16) }
 // row once at build time from the same fp16 master values (so all
 // precisions of one dataset derive from identical inputs).
 func NewFlatPrec(ds *dataset.Dataset, prec half.Precision) *Flat {
-	mat := rowMatFromHalf(ds.FeatHalf, ds.FeatDim, int(ds.G.N), prec)
+	rows := half.HalfRows(ds.FeatHalf, ds.FeatDim, int(ds.G.N), prec)
 	return &Flat{
-		dim:    ds.FeatDim,
-		prec:   prec,
-		src:    mat.source(ds.Labels),
-		n:      int(ds.G.N),
-		mat:    mat,
-		labels: ds.Labels,
+		dim:  ds.FeatDim,
+		prec: prec,
+		src:  &slicing.Source{Blocks: []*half.Rows{rows}, Labels: ds.Labels},
 	}
 }
 
@@ -65,10 +60,13 @@ func (f *Flat) Dim() int { return f.dim }
 func (f *Flat) Precision() half.Precision { return f.prec }
 
 // NumNodes returns the number of feature rows held.
-func (f *Flat) NumNodes() int {
+func (f *Flat) NumNodes() int { return f.source().Blocks[0].N }
+
+// source returns the current row source; see srcMu.
+func (f *Flat) source() *slicing.Source {
 	f.srcMu.RLock()
 	defer f.srcMu.RUnlock()
-	return f.n
+	return f.src
 }
 
 // AppendRows implements Appendable: it appends len(labels) rows (feat is
@@ -86,13 +84,17 @@ func (f *Flat) AppendRows(feat []float32, labels []int32) (int32, error) {
 	}
 	f.srcMu.Lock()
 	defer f.srcMu.Unlock()
-	first := int32(f.n)
-	// append copies on the first grow (dataset arrays have no spare
-	// capacity), so the dataset's own FeatHalf/Labels are never written.
-	f.mat.appendRows(feat)
-	f.labels = append(f.labels, labels...)
-	f.n += len(labels)
-	f.src = f.mat.source(f.labels)
+	rows := *f.src.Blocks[0]
+	first := int32(rows.N)
+	// Both appends copy (a full slice expression leaves the old labels no
+	// spare capacity), so the dataset's own FeatHalf/Labels and every older
+	// source stay untouched.
+	rows.Append(feat)
+	old := f.src.Labels
+	f.src = &slicing.Source{
+		Blocks: []*half.Rows{&rows},
+		Labels: append(old[:len(old):len(old)], labels...),
+	}
 	return first, nil
 }
 
@@ -100,10 +102,8 @@ func (f *Flat) AppendRows(feat []float32, labels []int32) (int32, error) {
 //
 //salient:noalloc
 func (f *Flat) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
-	f.srcMu.RLock()
-	src, n := f.src, f.n
-	f.srcMu.RUnlock()
-	if err := checkIDs(nodeIDs, n); err != nil {
+	src := f.source()
+	if err := checkIDs(nodeIDs, src.Blocks[0].N); err != nil {
 		return err
 	}
 	if err := slicing.Slice(dst, src, nodeIDs, batch); err != nil {
@@ -116,10 +116,8 @@ func (f *Flat) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 // GatherStriped stages the batch with the statically striped parallel
 // kernel, for the PyG executor's DataLoader model.
 func (f *Flat) GatherStriped(dst *slicing.Pinned, nodeIDs []int32, batch, nWorkers int, run func(stripes []func())) error {
-	f.srcMu.RLock()
-	src, n := f.src, f.n
-	f.srcMu.RUnlock()
-	if err := checkIDs(nodeIDs, n); err != nil {
+	src := f.source()
+	if err := checkIDs(nodeIDs, src.Blocks[0].N); err != nil {
 		return err
 	}
 	if err := slicing.SliceStriped(dst, src, nodeIDs, batch, nWorkers, run); err != nil {
@@ -137,10 +135,8 @@ func (f *Flat) GatherStriped(dst *slicing.Pinned, nodeIDs []int32, batch, nWorke
 //
 //salient:noalloc
 func (f *Flat) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error {
-	f.srcMu.RLock()
-	src, n := f.src, f.n
-	f.srcMu.RUnlock()
-	if err := checkIDs(nodeIDs, n); err != nil {
+	src := f.source()
+	if err := checkIDs(nodeIDs, src.Blocks[0].N); err != nil {
 		return err
 	}
 	if err := slicing.GatherAggregate(dst, src, nodeIDs, blk, batch, op); err != nil {

@@ -26,14 +26,13 @@ import (
 // (P-1)/P under random placement — the measurable difference placement
 // quality makes to the feature path.
 type Sharded struct {
-	dim    int
-	prec   half.Precision
-	n      int
-	parts  int
-	part   []int32   // node -> shard
-	local  []int32   // node -> row index within its shard
-	shards []*rowMat // per-shard row-major feature storage
-	labels []int32
+	dim  int
+	prec half.Precision
+	// src holds one row block per shard, Part/Local map node -> (shard,
+	// row within it), and Labels is the dataset's label vector. The fused
+	// kernel reads the shards through it exactly as it reads a flat
+	// matrix, with bit-identical results.
+	src slicing.Source
 
 	mu    sync.Mutex
 	stats Stats
@@ -52,37 +51,31 @@ func NewSharded(ds *dataset.Dataset, a *partition.Assignment, prec half.Precisio
 		return nil, fmt.Errorf("store: assignment has %d parts", a.Parts)
 	}
 	s := &Sharded{
-		dim:    ds.FeatDim,
-		prec:   prec,
-		n:      n,
-		parts:  a.Parts,
-		part:   append([]int32(nil), a.Part...),
-		local:  make([]int32, n),
-		shards: make([]*rowMat, a.Parts),
-		labels: ds.Labels,
+		dim:  ds.FeatDim,
+		prec: prec,
+		src: slicing.Source{
+			Blocks: make([]*half.Rows, a.Parts),
+			Part:   append([]int32(nil), a.Part...),
+			Local:  make([]int32, n),
+			Labels: ds.Labels,
+		},
 	}
 	counts := make([]int, a.Parts)
-	for v, p := range s.part {
+	for v, p := range s.src.Part {
 		if p < 0 || int(p) >= a.Parts {
 			return nil, fmt.Errorf("store: node %d assigned to part %d of %d", v, p, a.Parts)
 		}
 		counts[p]++
 	}
 	for p, c := range counts {
-		s.shards[p] = newRowMat(prec, s.dim, c)
+		s.src.Blocks[p] = new(half.Rows)
+		s.src.Blocks[p].Ensure(c, s.dim, prec)
 	}
 	next := make([]int32, a.Parts)
-	scratch := make([]float32, s.dim)
 	for v := 0; v < n; v++ {
-		p := s.part[v]
-		s.local[v] = next[p]
-		row := ds.FeatHalf[v*s.dim : (v+1)*s.dim]
-		if prec == half.FP16 {
-			copy(s.shards[p].h[int(next[p])*s.dim:(int(next[p])+1)*s.dim], row)
-		} else {
-			half.DecodeSlice(scratch, row)
-			s.shards[p].encodeRow(int(next[p]), scratch)
-		}
+		p := s.src.Part[v]
+		s.src.Local[v] = next[p]
+		s.src.Blocks[p].EncodeHalfRow(int(next[p]), ds.FeatHalf[v*s.dim:(v+1)*s.dim])
 		next[p]++
 	}
 	return s, nil
@@ -95,36 +88,10 @@ func (s *Sharded) Dim() int { return s.dim }
 func (s *Sharded) Precision() half.Precision { return s.prec }
 
 // NumNodes returns the number of feature rows held.
-func (s *Sharded) NumNodes() int { return s.n }
+func (s *Sharded) NumNodes() int { return len(s.src.Part) }
 
 // Part returns the shard holding node v's row.
-func (s *Sharded) Part(v int32) int32 { return s.part[v] }
-
-// shardedSource adapts the sharded layout to slicing.Source: row accesses
-// indirect through part/local, so the fused kernel runs over shards exactly
-// as it runs over a flat matrix, with bit-identical results.
-type shardedSource struct{ s *Sharded }
-
-func (v shardedSource) Dim() int                  { return v.s.dim }
-func (v shardedSource) Precision() half.Precision { return v.s.prec }
-
-func (v shardedSource) Row(id int32) []half.Float16 {
-	lo := int(v.s.local[id]) * v.s.dim
-	return v.s.shards[v.s.part[id]].h[lo : lo+v.s.dim]
-}
-
-func (v shardedSource) Row32(id int32) []float32 {
-	lo := int(v.s.local[id]) * v.s.dim
-	return v.s.shards[v.s.part[id]].f[lo : lo+v.s.dim]
-}
-
-func (v shardedSource) Row8(id int32) ([]int8, float32) {
-	m := v.s.shards[v.s.part[id]]
-	lo := int(v.s.local[id]) * v.s.dim
-	return m.q[lo : lo+v.s.dim], m.scales[v.s.local[id]]
-}
-
-func (v shardedSource) Label(id int32) int32 { return v.s.labels[id] }
+func (s *Sharded) Part(v int32) int32 { return s.src.Part[v] }
 
 // Gather stages the batch with one gather goroutine per shard, each copying
 // its resident rows into their batch positions (disjoint destinations, no
@@ -133,46 +100,46 @@ func (s *Sharded) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error 
 	if batch > len(nodeIDs) {
 		return fmt.Errorf("store: batch %d > nodes %d", batch, len(nodeIDs))
 	}
-	if err := checkIDs(nodeIDs, s.n); err != nil {
+	if err := checkIDs(nodeIDs, len(s.src.Part)); err != nil {
 		return err
 	}
-	dst.EnsurePrec(len(nodeIDs), s.dim, batch, s.prec)
+	dst.Ensure(len(nodeIDs), s.dim, batch, s.prec)
 	var wg sync.WaitGroup
-	for p := 0; p < s.parts; p++ {
+	for p := range s.src.Blocks {
 		wg.Add(1)
 		go func(p int32) {
 			defer wg.Done()
 			// Each shard scans the whole ID list and claims its rows; for
 			// the small shard counts of interest this beats allocating
 			// per-shard index buckets on every gather.
-			shard := s.shards[p]
+			shard := s.src.Blocks[p]
 			for i, id := range nodeIDs {
-				if s.part[id] != p {
+				if s.src.Part[id] != p {
 					continue
 				}
-				shard.copyRow(dst, i, int(s.local[id]))
+				dst.CopyRow(i, shard, int(s.src.Local[id]))
 			}
 		}(int32(p))
 	}
 	wg.Wait()
 	for i := 0; i < batch; i++ {
-		dst.Labels[i] = s.labels[nodeIDs[i]]
+		dst.Labels[i] = s.src.Labels[nodeIDs[i]]
 	}
 	s.account(nodeIDs)
 	return nil
 }
 
-// GatherAggregate implements FusedGatherer over the sharded layout via
-// shardedSource. The fused kernel is destination-parallel rather than
+// GatherAggregate implements FusedGatherer over the sharded layout's
+// source. The fused kernel is destination-parallel rather than
 // shard-parallel, so it runs serially here; executors that want parallelism
 // stripe with slicing.GatherAggregateStriped over the same source. Transfer
 // accounting matches Gather — each row is still read once, remote rows
 // still cross a shard boundary.
 func (s *Sharded) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error {
-	if err := checkIDs(nodeIDs, s.n); err != nil {
+	if err := checkIDs(nodeIDs, len(s.src.Part)); err != nil {
 		return err
 	}
-	if err := slicing.GatherAggregate(dst, shardedSource{s}, nodeIDs, blk, batch, op); err != nil {
+	if err := slicing.GatherAggregate(dst, &s.src, nodeIDs, blk, batch, op); err != nil {
 		return err
 	}
 	s.account(nodeIDs)
@@ -184,9 +151,9 @@ func (s *Sharded) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.
 func (s *Sharded) account(nodeIDs []int32) {
 	remote := 0
 	if len(nodeIDs) > 0 {
-		home := s.part[nodeIDs[0]]
+		home := s.src.Part[nodeIDs[0]]
 		for _, id := range nodeIDs {
-			if s.part[id] != home {
+			if s.src.Part[id] != home {
 				remote++
 			}
 		}

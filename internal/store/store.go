@@ -88,6 +88,8 @@ func (s Stats) RemoteFrac() float64 {
 type FeatureStore interface {
 	// Dim returns the feature dimensionality.
 	Dim() int
+	// Precision returns the storage precision rows are held (and moved) at.
+	Precision() half.Precision
 	// NumNodes returns the number of feature rows held.
 	NumNodes() int
 	// Gather stages features for nodeIDs and labels for the seed prefix
@@ -139,13 +141,6 @@ func ValidateShape(gotDim, gotRows, wantDim, wantRows int, allowGrown bool) erro
 	return nil
 }
 
-// Check verifies st holds exactly ds's rows.
-//
-// Deprecated: use Validate(st, ds, ValidateOpts{}).
-func Check(st FeatureStore, ds *dataset.Dataset) error {
-	return Validate(st, ds, ValidateOpts{})
-}
-
 // Appendable is implemented by stores that can grow with a dynamic graph:
 // AppendRows appends len(labels) feature rows (feat is row-major float32,
 // len(labels)×Dim, encoded to the store's half-precision host layout) and
@@ -160,14 +155,6 @@ func Check(st FeatureStore, ds *dataset.Dataset) error {
 // repartition, which is future work (see ROADMAP).
 type Appendable interface {
 	AppendRows(feat []float32, labels []int32) (int32, error)
-}
-
-// CheckGrown is Check's dynamic-graph variant, enforcing only the
-// dimensionality and a row-count floor.
-//
-// Deprecated: use Validate(st, ds, ValidateOpts{AllowGrown: true}).
-func CheckGrown(st FeatureStore, ds *dataset.Dataset) error {
-	return Validate(st, ds, ValidateOpts{AllowGrown: true})
 }
 
 // StripedGatherer is implemented by stores whose gather supports the
@@ -188,20 +175,4 @@ type StripedGatherer interface {
 // not must fail loudly at wiring time.
 type FusedGatherer interface {
 	GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error
-}
-
-// Precisioned is implemented by stores that can report their storage
-// precision (all built-ins). Consumers that size transfer estimates use it;
-// a store without it is assumed fp16, the seed layout.
-type Precisioned interface {
-	Precision() half.Precision
-}
-
-// PrecisionOf returns st's storage precision, defaulting to fp16 for stores
-// that predate the precision seam.
-func PrecisionOf(st FeatureStore) half.Precision {
-	if p, ok := st.(Precisioned); ok {
-		return p.Precision()
-	}
-	return half.FP16
 }

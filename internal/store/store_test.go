@@ -59,11 +59,11 @@ func gatherAll(t testing.TB, st FeatureStore, lists [][]int32, batches []int) []
 
 func sameStaged(t *testing.T, name string, got, want *slicing.Pinned, batch int) {
 	t.Helper()
-	if got.Rows != want.Rows || got.Dim != want.Dim {
-		t.Fatalf("%s: staged shape %dx%d, want %dx%d", name, got.Rows, got.Dim, want.Rows, want.Dim)
+	if got.N != want.N || got.Dim != want.Dim {
+		t.Fatalf("%s: staged shape %dx%d, want %dx%d", name, got.N, got.Dim, want.N, want.Dim)
 	}
-	for i := range want.Feat {
-		if got.Feat[i] != want.Feat[i] {
+	for i := range want.H {
+		if got.H[i] != want.H[i] {
 			t.Fatalf("%s: feature scalar %d differs", name, i)
 		}
 	}
@@ -82,9 +82,13 @@ func TestFlatMatchesDirectSliceHalf(t *testing.T) {
 	lists, batches := sampleLists(t, ds, 6, 64)
 	flat := NewFlat(ds)
 	staged := gatherAll(t, flat, lists, batches)
+	src := &slicing.Source{
+		Blocks: []*half.Rows{{Prec: half.FP16, Dim: ds.FeatDim, N: int(ds.G.N), H: ds.FeatHalf}},
+		Labels: ds.Labels,
+	}
 	for i, ids := range lists {
 		want := slicing.NewPinned(len(ids), ds.FeatDim, batches[i])
-		if err := slicing.Slice(want, slicing.NewFlatSource(ds.FeatHalf, ds.FeatDim, ds.Labels), ids, batches[i]); err != nil {
+		if err := slicing.Slice(want, src, ids, batches[i]); err != nil {
 			t.Fatal(err)
 		}
 		sameStaged(t, "flat", staged[i], want, batches[i])

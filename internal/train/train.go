@@ -343,10 +343,15 @@ func (t *Trainer) TrainEpoch(epoch int) (EpochStats, error) {
 
 // Fit trains for n epochs and returns per-epoch stats, stopping at the
 // first preparation failure.
-func (t *Trainer) Fit(epochs int) ([]EpochStats, error) {
-	out := make([]EpochStats, 0, epochs)
+func (t *Trainer) Fit(epochs int) ([]EpochStats, error) { return Fit(epochs, t.TrainEpoch) }
+
+// Fit runs epoch for epochs 0..epochs-1 and collects their stats, stopping
+// at the first error; the stats of the epochs before it are returned with
+// the error. It is the one epoch loop behind every trainer's Fit.
+func Fit[S any](epochs int, epoch func(int) (S, error)) ([]S, error) {
+	out := make([]S, 0, epochs)
 	for e := 0; e < epochs; e++ {
-		s, err := t.TrainEpoch(e)
+		s, err := epoch(e)
 		if err != nil {
 			return out, err
 		}

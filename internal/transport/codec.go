@@ -19,7 +19,7 @@ import (
 //	rowsReq   u32 n · n×u32 nodeID
 //	rowsResp  u32 n · n×rowBytes(prec,dim) feature payload · n×u32 label
 //	          (int8 rows carry dim bytes + one f32 scale each, the same
-//	          per-row layout as the host rowMat)
+//	          per-row bytes as the host half.Rows)
 //	neighReq  u32 n · n×u32 nodeID
 //	neighResp u32 n · n×u32 degree · total×u32 neighbor
 //	errResp   u8 kind · u32 msgLen · msg bytes
